@@ -11,6 +11,10 @@ Table 3 circuits, asserting:
   raises the bar; the recorded speedup on the full grid is ~3.5x), and
 * the miter's peak unique-table footprint is smaller.
 
+A third leg times the verification facade, ``verify_equivalent`` with
+``method="qmdd"``, which runs the miter on the wires the two circuits
+touch, against the full-width miter: same verdicts, and no slower.
+
 Each leg runs in a *fresh* manager (no pool, no warm caches) so the
 comparison isolates the strategy itself.  Results land in the
 ``verify`` suite of ``BENCH_runtime.json`` (schema 3).
@@ -21,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 from harness import RUNTIME
 from repro import compile_circuit
@@ -30,6 +34,7 @@ from repro.core.exceptions import ReproError
 from repro.devices import PAPER_DEVICES
 from repro.qmdd import QMDDManager, check_equivalence
 from repro.reporting import Table
+from repro.verify import verify_equivalent
 
 #: Mapped Table 3 cells exercised by the bench: medium-depth circuits on
 #: the wide (14-16 qubit) devices, where verification cost is visible
@@ -65,11 +70,10 @@ def _timed_check(original, mapped, width: int, strategy: str):
 
 
 @lru_cache(maxsize=1)
-def verify_grid() -> List[Dict]:
-    """Compile each cell and time both strategies; records the ``verify``
-    suite into the shared RUNTIME ledger (dumped to BENCH_runtime.json)."""
-    started = time.perf_counter()
-    records: List[Dict] = []
+def compiled_cells() -> Tuple[List[Tuple[str, Any, Any]], int]:
+    """``([(cell, source, compiled result), ...], N/A count)`` for
+    ``CELLS``, compiled once without verification."""
+    cells = []
     skipped = 0
     for name, qubits, device_name in CELLS:
         circuit = single_target.build_benchmark(name, qubits)
@@ -80,6 +84,18 @@ def verify_grid() -> List[Dict]:
         except ReproError:
             skipped += 1  # N/A cell on this device (no spare qubit)
             continue
+        cells.append((f"{name}@{device_name}", circuit, compiled))
+    return cells, skipped
+
+
+@lru_cache(maxsize=1)
+def verify_grid() -> List[Dict]:
+    """Compile each cell and time both strategies; records the ``verify``
+    suite into the shared RUNTIME ledger (dumped to BENCH_runtime.json)."""
+    started = time.perf_counter()
+    records: List[Dict] = []
+    cells, skipped = compiled_cells()
+    for cell, circuit, compiled in cells:
         mapped = compiled.optimized
         width = mapped.num_qubits
         two_seconds, two_result, two_peak = _timed_check(
@@ -89,7 +105,7 @@ def verify_grid() -> List[Dict]:
             circuit, mapped, width, "miter"
         )
         records.append({
-            "cell": f"{name}@{device_name}",
+            "cell": cell,
             "width": width,
             "two_sided": {
                 "seconds": round(two_seconds, 6),
@@ -123,6 +139,50 @@ def verify_grid() -> List[Dict]:
                 default=0,
             ),
         },
+        "benchmarks": {r["cell"]: r for r in records},
+    }
+    return records
+
+
+@lru_cache(maxsize=1)
+def facade_grid() -> List[Dict]:
+    """Time the facade (compacted miter, fresh manager) against the
+    full-width miter on the same cells; adds ``facade`` to the suite."""
+    verify_grid()
+    records: List[Dict] = []
+    for cell, circuit, compiled in compiled_cells()[0]:
+        mapped = compiled.optimized
+        # Best of two interleaved runs per leg: single-cell times on a
+        # shared CI machine swing by more than the gap being checked.
+        full_seconds = facade_seconds = float("inf")
+        for _ in range(2):
+            seconds, full_result, _ = _timed_check(
+                circuit, mapped, mapped.num_qubits, "miter"
+            )
+            full_seconds = min(full_seconds, seconds)
+            started = time.perf_counter()
+            report = verify_equivalent(
+                circuit, mapped, method="qmdd", pool=False
+            )
+            facade_seconds = min(
+                facade_seconds, time.perf_counter() - started
+            )
+        records.append({
+            "cell": cell,
+            "width": mapped.num_qubits,
+            "wires": len(mapped.used_qubits),
+            "full_miter_seconds": round(full_seconds, 6),
+            "full_miter_equivalent": bool(full_result.equivalent),
+            "facade_seconds": round(facade_seconds, 6),
+            "facade_equivalent": report.equivalent,
+            "facade_method": report.method,
+        })
+    full_total = sum(r["full_miter_seconds"] for r in records)
+    facade_total = sum(r["facade_seconds"] for r in records)
+    RUNTIME["verify"]["facade"] = {
+        "full_miter_seconds": round(full_total, 4),
+        "facade_seconds": round(facade_total, 4),
+        "speedup": round(full_total / max(facade_total, 1e-9), 3),
         "benchmarks": {r["cell"]: r for r in records},
     }
     return records
@@ -180,3 +240,20 @@ def test_miter_peak_footprint_is_smaller():
     verify_grid()
     peaks = RUNTIME["verify"]["peak_unique_nodes"]
     assert peaks["miter"] < peaks["two_sided"], peaks
+
+
+def test_facade_verdicts_agree_with_full_width_miter():
+    """Compaction changes the register the miter runs on, never the
+    verdict or the method the facade reports."""
+    records = facade_grid()
+    assert records, "every bench cell was N/A — grid misconfigured"
+    for r in records:
+        assert r["facade_method"] == "qmdd", r["cell"]
+        assert r["facade_equivalent"] == r["full_miter_equivalent"], r["cell"]
+        assert r["facade_equivalent"], r["cell"]
+
+
+def test_facade_is_not_slower_than_full_width_miter():
+    facade_grid()
+    facade = RUNTIME["verify"]["facade"]
+    assert facade["speedup"] >= 1.0, facade

@@ -7,6 +7,7 @@ the IR and parses the subset of QASM that the IR can represent:
 
 * ``qreg``/``creg`` declarations (multiple qregs are concatenated),
 * the gates ``id x y z h s sdg t tdg cx cz swap ccx``,
+* the rotations ``rz``/``u1``, ``rx``, ``ry`` and ``rxx``,
 * ``measure`` and ``barrier`` statements (recorded or skipped),
 * ``//`` comments and the ``OPENQASM``/``include`` headers.
 """
@@ -51,8 +52,14 @@ _QASM_TO_IR = {
 _IR_TO_QASM = {ir: qasm for qasm, ir in _QASM_TO_IR.items()}
 
 #: Parametric QASM gates -> IR rotations (u1 is the phase-rotation alias).
-_QASM_PARAMETRIC = {"rz": "RZ", "u1": "RZ", "rx": "RX", "ry": "RY"}
-_IR_PARAMETRIC = {"RZ": "rz", "RX": "rx", "RY": "ry"}
+_QASM_PARAMETRIC = {
+    "rz": "RZ", "u1": "RZ", "rx": "RX", "ry": "RY", "rxx": "RXX",
+}
+_IR_PARAMETRIC = {"RZ": "rz", "RX": "rx", "RY": "ry", "RXX": "rxx"}
+
+#: QASM angle = scale x IR angle.  The IR's ``RXX(t)`` is
+#: ``cos t I - i sin t XX``, which qelib1's ``rxx`` writes as ``rxx(2t)``.
+_ANGLE_SCALE = {"rxx": 2.0}
 
 _TOKEN_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]")
 _PARAM_CALL_RE = re.compile(r"(\w+)\s*\(([^)]*)\)\s*(.*)")
@@ -152,6 +159,7 @@ def parse_qasm(text: str, name: str = "", filename: Optional[str] = None) -> Qua
             if call and call.group(1).lower() in _QASM_PARAMETRIC:
                 mnemonic = call.group(1).lower()
                 angle = _eval_angle(call.group(2), filename, line_no)
+                angle /= _ANGLE_SCALE.get(mnemonic, 1.0)
                 operand_text = call.group(3)
                 if not operand_text.strip():
                     raise ParseError(
@@ -209,9 +217,9 @@ def to_qasm(
     for gate in circuit:
         operands = ", ".join(f"{register}[{q}]" for q in gate.qubits)
         if gate.name in _IR_PARAMETRIC:
-            lines.append(
-                f"{_IR_PARAMETRIC[gate.name]}({gate.params[0]!r}) {operands};"
-            )
+            mnemonic = _IR_PARAMETRIC[gate.name]
+            angle = gate.params[0] * _ANGLE_SCALE.get(mnemonic, 1.0)
+            lines.append(f"{mnemonic}({angle!r}) {operands};")
             continue
         mnemonic = _IR_TO_QASM.get(gate.name)
         if mnemonic is None:

@@ -19,6 +19,7 @@ and the composed product is exactly the product of the original stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,44 +62,58 @@ class FusedBlock:
 
 def _embed_1q(u: np.ndarray, position: int) -> np.ndarray:
     """Embed a 2x2 into the 4x4 pair basis at ``position`` (0 = the
-    first/shallower wire, 1 = the second/deeper wire)."""
-    eye = np.eye(2, dtype=complex)
-    return np.kron(u, eye) if position == 0 else np.kron(eye, u)
+    first/shallower wire, 1 = the second/deeper wire): ``u (x) I`` or
+    ``I (x) u``, written into the two diagonal copies directly."""
+    embedded = np.zeros((4, 4), dtype=complex)
+    if position == 0:
+        embedded[0::2, 0::2] = u
+        embedded[1::2, 1::2] = u
+    else:
+        embedded[:2, :2] = u
+        embedded[2:, 2:] = u
+    return embedded
 
 
-def _pair_matrix(gate: Gate, pair: Tuple[int, int]) -> np.ndarray:
-    """4x4 matrix of a 2-qubit gate in the (pair[0], pair[1]) basis."""
-    name = gate.name
-    if name == "CNOT":
-        control, target = gate.qubits
-        matrix = np.zeros((4, 4), dtype=complex)
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                bits = {pair[0]: b0, pair[1]: b1}
-                if bits[control]:
-                    bits[target] ^= 1
-                matrix[2 * bits[pair[0]] + bits[pair[1]], 2 * b0 + b1] = 1.0
-        return matrix
-    if name == "SWAP":
-        matrix = np.zeros((4, 4), dtype=complex)
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                matrix[2 * b1 + b0, 2 * b0 + b1] = 1.0
-        return matrix
-    if name == "CZ":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    # Generic 2-qubit gate: gate_matrix is in (qubits[0], qubits[1])
-    # order; permute into pair order when the gate lists them reversed.
-    matrix = np.asarray(
-        gate_matrix(name, 2, gate.params or None), dtype=complex
-    )
-    if tuple(gate.qubits) != pair:
-        swap = np.zeros((4, 4), dtype=complex)
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                swap[2 * b1 + b0, 2 * b0 + b1] = 1.0
-        matrix = swap @ matrix @ swap
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """Mark a cached matrix read-only (blocks never update in place)."""
+    matrix.flags.writeable = False
     return matrix
+
+
+#: Bound of the per-gate matrix caches below (rotation angles make the
+#: key space open-ended; the Clifford+T alphabet needs a few dozen).
+_MATRIX_CACHE = 4096
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _gate_1q(name: str, params: Tuple[float, ...]) -> np.ndarray:
+    """2x2 matrix of a one-qubit gate."""
+    return _frozen(
+        np.asarray(gate_matrix(name, params=params or None), dtype=complex)
+    )
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _gate_1q_in_pair(
+    name: str, params: Tuple[float, ...], position: int
+) -> np.ndarray:
+    """4x4 matrix of a one-qubit gate at ``position`` of a wire pair."""
+    return _frozen(_embed_1q(_gate_1q(name, params), position))
+
+
+def _swap_order(matrix: np.ndarray) -> np.ndarray:
+    """Re-express a 4x4 in the opposite wire order (SWAP . M . SWAP)."""
+    order = [0, 2, 1, 3]
+    return matrix[np.ix_(order, order)]
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _gate_2q(name: str, params: Tuple[float, ...], ordered: bool) -> np.ndarray:
+    """4x4 matrix of a 2-qubit gate in the basis of its sorted wire pair;
+    ``ordered`` is whether the gate lists its qubits in that order
+    (``gate_matrix`` is in listed order: a CNOT's control first)."""
+    matrix = np.asarray(gate_matrix(name, 2, params or None), dtype=complex)
+    return _frozen(matrix if ordered else _swap_order(matrix))
 
 
 class _OpenBlock:
@@ -122,22 +137,19 @@ class _OpenBlock:
     def absorb(self, gate: Gate) -> None:
         pair = self.qubits
         if gate.num_qubits == 1:
-            u = np.asarray(
-                gate_matrix(gate.name, params=gate.params or None),
-                dtype=complex,
-            )
             if len(pair) == 1:
-                self.matrix = u @ self.matrix
+                u = _gate_1q(gate.name, gate.params)
             else:
-                self.matrix = _embed_1q(u, pair.index(gate.qubits[0])) @ self.matrix
+                u = _gate_1q_in_pair(
+                    gate.name, gate.params, pair.index(gate.qubits[0])
+                )
         else:
-            self.matrix = _pair_matrix(gate, pair) @ self.matrix
+            u = _gate_2q(gate.name, gate.params, gate.qubits == pair)
+        self.matrix = u @ self.matrix
         self.count += 1
 
     def freeze(self) -> FusedBlock:
-        matrix = tuple(
-            tuple(complex(v) for v in row) for row in self.matrix
-        )
+        matrix = tuple(map(tuple, self.matrix.tolist()))
         return FusedBlock(
             qubits=self.qubits, matrix=matrix, gate=None,
             gates_fused=self.count,
@@ -172,14 +184,12 @@ def fuse_stream(gates: Sequence[Gate], drop_identity: bool = True) -> List[Fused
                 gates_fused=1,
             )
         elif gate.num_qubits == 1:
-            matrix = np.asarray(
-                gate_matrix(gate.name, params=gate.params or None),
-                dtype=complex,
-            )
+            matrix = _gate_1q(gate.name, gate.params)
             blocks.append(_OpenBlock((gate.qubits[0],), matrix))
         else:
             pair = tuple(sorted(gate.qubits))
-            blocks.append(_OpenBlock(pair, _pair_matrix(gate, pair)))
+            matrix = _gate_2q(gate.name, gate.params, gate.qubits == pair)
+            blocks.append(_OpenBlock(pair, matrix))
         for q in gate.qubits:
             last_block[q] = index
 

@@ -89,7 +89,8 @@ class QMDDManager:
         #: managers report per-check deltas, not lifetime totals.
         self._recorded: Dict[str, int] = {}
         self._zero_edge = Edge(self.terminal, self.values.lookup(0j))
-        self._one_edge = Edge(self.terminal, self.values.lookup(1 + 0j))
+        self._one_weight = self.values.lookup(1 + 0j)
+        self._one_edge = Edge(self.terminal, self._one_weight)
 
     # -- primitive edges ------------------------------------------------------
 
@@ -106,8 +107,9 @@ class QMDDManager:
     def edge(self, node: Node, weight: complex) -> Edge:
         """An edge with an interned weight; zero weight collapses to the
         terminal zero edge."""
-        weight = self.values.lookup(weight)
-        if self.values.is_zero(weight):
+        values = self.values
+        weight = values.lookup(weight)
+        if abs(weight) <= values.tolerance:
             return self._zero_edge
         return Edge(node, weight)
 
@@ -118,29 +120,47 @@ class QMDDManager:
         returning the edge that points to it."""
         if len(edges) != 4:
             raise QMDDError("a QMDD node has exactly four edges")
-        if all(e.is_zero for e in edges):
-            return self.zero
+        e0, e1, e2, e3 = edges
+        magnitudes = (
+            abs(e0.weight), abs(e1.weight), abs(e2.weight), abs(e3.weight)
+        )
+        largest = max(magnitudes)
+        if largest == 0:
+            return self._zero_edge
         # Normalize: divide by the largest-magnitude weight.  The pick must
         # be *tolerance-deterministic*: when two magnitudes agree within
         # the value tolerance, always take the earliest edge, otherwise
         # float dust on different construction paths would normalize equal
-        # matrices differently and break pointer canonicity.
+        # matrices differently and break pointer canonicity.  One pass:
+        # the picked edge gets the canonical 1 and zero edges stay the
+        # zero edge, so only the remaining weights are interned.
         tolerance = self.values.tolerance
-        magnitudes = [abs(e.weight) for e in edges]
-        largest = max(magnitudes)
-        norm = next(
-            e.weight
-            for e, magnitude in zip(edges, magnitudes)
-            if magnitude >= largest - tolerance
+        threshold = largest - tolerance
+        pick = 0
+        while magnitudes[pick] < threshold:
+            pick += 1
+        norm = edges[pick].weight
+        lookup = self.values.lookup
+        zero = self._zero_edge
+        normalized = []
+        for index, e in enumerate(edges):
+            if index == pick:
+                e = Edge(e.node, self._one_weight)
+            elif magnitudes[index] == 0:
+                e = zero
+            else:
+                weight = lookup(e.weight / norm)
+                e = zero if abs(weight) <= tolerance else Edge(e.node, weight)
+            normalized.append(e)
+        n0, n1, n2, n3 = normalized
+        key = (
+            level,
+            id(n0.node), n0.weight, id(n1.node), n1.weight,
+            id(n2.node), n2.weight, id(n3.node), n3.weight,
         )
-        normalized = tuple(
-            self.zero if e.is_zero else self.edge(e.node, e.weight / norm)
-            for e in edges
-        )
-        key = (level, tuple((id(e.node), e.weight) for e in normalized))
         node = self._unique.get(key)
         if node is None:
-            node = Node(level, normalized)
+            node = Node(level, (n0, n1, n2, n3))
             self._unique[key] = node
             if len(self._unique) > self.peak_unique_nodes:
                 self.peak_unique_nodes = len(self._unique)
@@ -328,9 +348,9 @@ class QMDDManager:
 
     def add(self, left: Edge, right: Edge) -> Edge:
         """Matrix sum ``left + right``."""
-        if left.is_zero:
+        if left.weight == 0:
             return right
-        if right.is_zero:
+        if right.weight == 0:
             return left
         ratio = self.values.lookup(right.weight / left.weight)
         summed = self._add_nodes(left.node, right.node, ratio)
@@ -360,7 +380,7 @@ class QMDDManager:
     # -- specialized gate application ------------------------------------------------
 
     def _scaled_edge(self, edge: Edge, factor: complex) -> Edge:
-        if edge.is_zero or factor == 0:
+        if edge.weight == 0 or factor == 0:
             return self._zero_edge
         return self.edge(edge.node, edge.weight * factor)
 

@@ -12,11 +12,23 @@ bucketed on a grid of side ``tolerance`` and lookups probe the
 neighbouring buckets, so any two values closer than ``tolerance`` map to
 one canonical representative.  This is the same technique used by
 production decision-diagram packages.
+
+In front of the buckets sits an exact-value memo from a raw complex to
+the representative it was given.  Decision-diagram arithmetic produces
+the same raw products and quotients over and over (a few thousand
+distinct values per equivalence check), so most lookups are one dict
+hit instead of two divisions, two roundings and a bucket probe.  The
+memo is bounded by :data:`MEMO_LIMIT` and cleared wholesale when full;
+a cleared entry is simply recomputed from the buckets on its next
+lookup.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
+
+#: Entry bound of :class:`ValueTable`'s exact-value memo.
+MEMO_LIMIT = 1 << 14
 
 
 class ValueTable:
@@ -25,13 +37,26 @@ class ValueTable:
     def __init__(self, tolerance: float = 1e-9):
         self.tolerance = tolerance
         self._buckets: Dict[Tuple[int, int], complex] = {}
+        self._memo: Dict[complex, complex] = {}
         # Seed exact anchors so common algebraic values stay pristine.
         for anchor in (0j, 1 + 0j, -1 + 0j, 1j, -1j):
             self.lookup(anchor)
 
     def lookup(self, value: complex) -> complex:
         """Return the canonical representative of ``value``."""
+        found = self._memo.get(value)
+        if found is not None:
+            return found
         value = complex(value)
+        canonical = self._intern(value)
+        memo = self._memo
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        memo[value] = canonical
+        return canonical
+
+    def _intern(self, value: complex) -> complex:
+        """The bucket probe behind :meth:`lookup`."""
         tol = self.tolerance
         base_re = round(value.real / tol)
         base_im = round(value.imag / tol)

@@ -52,6 +52,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: delay a drain (active compiles are unaffected; the handler is
     #: blocked on the service, not the socket).
     timeout = 10.0
+    #: Set TCP_NODELAY: a response leaves as a headers write and a body
+    #: write, and with Nagle's algorithm the body of every response on a
+    #: kept-alive connection waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
     server: "CompileServer"
 
     # -- plumbing ----------------------------------------------------------

@@ -173,15 +173,21 @@ class CompileService:
                     self._rejected_total += 1
                 registry.inc("serve.rejected")
                 raise QueueFullError("service is draining")
-            return future.result()
+            # In flight: admitted and handed to the executor, queued or
+            # running, until its answer is back.
+            with self._lock:
+                self._in_flight += 1
+            try:
+                return future.result()
+            finally:
+                with self._lock:
+                    self._in_flight -= 1
         finally:
             self._slots.release()
 
     def _run(self, payload: Any, profile: bool) -> Dict[str, Any]:
         """Worker-thread body: parse, consult the cache, compile."""
         registry = get_metrics()
-        with self._lock:
-            self._in_flight += 1
         try:
             job = self._parse_job(payload)
             if self.config.allow_test_delay and isinstance(payload, dict):
@@ -225,9 +231,6 @@ class CompileService:
                 self._errors_total += 1
             registry.inc("serve.errors")
             raise
-        finally:
-            with self._lock:
-                self._in_flight -= 1
 
     def _parse_job(self, payload: Any) -> CompileJob:
         """Validate the request body into a :class:`CompileJob`."""

@@ -33,6 +33,12 @@ The qmdd method runs one of two strategies (see
   normalization paths, so they double-check each other near tolerance
   boundaries).
 
+Either strategy runs on the wires the two circuits touch, relabelled in
+physical order: an idle wire is an identity factor on both sides, and
+dropping it saves rebuilding a node on that level for every gate below
+it.  A remaining NO is rechecked on the full register: densely up to 10
+wires, which may overturn it, or by sampling above, which may not.
+
 QMDD managers are pooled per process and per width
 (:class:`~repro.qmdd.pool.ManagerPool`), so batch workers and fuzz
 campaigns reuse warm gate/identity caches across checks under bounded
@@ -215,14 +221,27 @@ def _verify(
 ) -> VerificationReport:
     if method == "qmdd":
         metrics = get_metrics()
+        # Wires neither circuit touches are identity factors on both
+        # sides, so the QMDD check runs on the touched wires alone,
+        # relabelled in physical order; the rechecks below keep the
+        # full register.
+        wires = sorted(
+            {q for circuit in (original, mapped) for q in circuit.used_qubits}
+        )
+        first, second, compact = original, mapped, width
+        if wires and len(wires) < width:
+            relabel = {q: index for index, q in enumerate(wires)}
+            compact = len(wires)
+            first = original.remapped(relabel, compact)
+            second = mapped.remapped(relabel, compact)
         if pool:
             manager_pool = get_manager_pool()
-            manager = manager_pool.acquire(width)
+            manager = manager_pool.acquire(compact)
             manager_pool.record_metrics(metrics)
         else:
-            manager = QMDDManager(width)
+            manager = QMDDManager(compact)
         result = qmdd_check(
-            original, mapped, num_qubits=width,
+            first, second, num_qubits=compact,
             up_to_global_phase=up_to_global_phase, manager=manager,
             strategy=strategy,
         )
@@ -236,7 +255,7 @@ def _verify(
         if peak:
             metrics.gauge_max("verify.miter_peak_nodes", peak)
         detail = (
-            f"strategy={strategy} "
+            f"strategy={strategy} wires={compact}/{width} "
             f"nodes={result.nodes_first}/{result.nodes_second} "
             f"shared_root={result.shared_root}"
         )
@@ -246,7 +265,7 @@ def _verify(
             # is first re-asked with the paper's original formulation.
             metrics.inc("verify.recheck.qmdd_checks")
             two_sided = qmdd_check(
-                original, mapped, num_qubits=width,
+                first, second, num_qubits=compact,
                 up_to_global_phase=up_to_global_phase, manager=manager,
                 strategy="two_sided",
             )
@@ -257,23 +276,29 @@ def _verify(
         if not equivalent:
             # Canonical float DDs can (rarely) produce a *false negative*
             # when two build paths normalize near a tolerance boundary —
-            # never a false positive.  Re-check a NO verdict with an
-            # independent method before declaring failure.
+            # never a false positive.  A dense recheck is complete, so it
+            # may overturn the NO; a sampled one only tries inputs, so its
+            # agreement is recorded but the NO stands.
             if width <= 10:
                 recheck = verify_equivalent(
                     original, mapped, method="dense",
                     up_to_global_phase=up_to_global_phase,
                     _recheck=True,
                 )
+                if recheck.equivalent:
+                    equivalent = True
+                    detail += " (recheck:dense agreed equivalent)"
             else:
                 recheck = verify_equivalent(
                     original, mapped, method="sampled",
                     up_to_global_phase=up_to_global_phase, samples=samples,
                     seed=seed, _recheck=True,
                 )
-            if recheck.equivalent:
-                equivalent = True
-                detail += f" (recheck:{recheck.method} agreed equivalent)"
+                if recheck.equivalent:
+                    detail += (
+                        f" (recheck:sampled agreed on {samples} samples; "
+                        "incomplete, the NO stands)"
+                    )
         return VerificationReport(
             method="qmdd",
             equivalent=equivalent,

@@ -95,6 +95,30 @@ class TestEmission:
         assert "qreg phys[1];" in text
         assert "x phys[0];" in text
 
+    def test_rxx_is_qelib_rxx_of_twice_the_angle(self):
+        import math
+
+        c = QuantumCircuit(2, [Gate("RXX", (1, 0), (math.pi / 4,))])
+        text = to_qasm(c)
+        assert f"rxx({math.pi / 2!r}) q[1], q[0];" in text
+        assert parse_qasm(text).gates == c.gates
+
+    def test_trapped_ion_compile_roundtrips(self):
+        from repro import compile_circuit
+        from repro.benchlib import single_target
+        from repro.devices import ion_device
+        from repro.verify import verify_equivalent
+
+        source = single_target.build_benchmark("017f", 5)
+        result = compile_circuit(source, ion_device(7))
+        assert result.optimized.count("RXX") > 0
+        back = parse_qasm(result.qasm)
+        assert back.num_qubits == result.optimized.num_qubits
+        assert back.gates == result.optimized.gates
+        assert verify_equivalent(
+            result.optimized, back, method="dense"
+        ).equivalent
+
 
 class TestFiles:
     def test_file_roundtrip(self, tmp_path):

@@ -6,6 +6,7 @@ node object (and weight) as applying the original gates one by one in
 the same manager.
 """
 
+import numpy as np
 import pytest
 
 from repro.backend import toffoli_network
@@ -143,3 +144,73 @@ class TestCompression:
         fused_gates = sum(b.gates_fused for b in blocks)
         assert fused_gates <= len(gates)
         assert fused_gates / len(blocks) >= 2.0
+
+
+def _embed(matrix, qubits, num_qubits):
+    """Dense ``2^n`` matrix of ``matrix`` acting on ``qubits`` (qubit 0
+    most significant, ``qubits[0]`` the block's most significant bit)."""
+    dim = 1 << num_qubits
+    k = len(qubits)
+    out = np.zeros((dim, dim), dtype=complex)
+    shifts = [num_qubits - 1 - q for q in qubits]
+    for col in range(dim):
+        sub_col = 0
+        for shift in shifts:
+            sub_col = (sub_col << 1) | ((col >> shift) & 1)
+        for sub_row in range(1 << k):
+            row = col
+            for i, shift in enumerate(shifts):
+                bit = (sub_row >> (k - 1 - i)) & 1
+                row = (row & ~(1 << shift)) | (bit << shift)
+            out[row, col] += matrix[sub_row][sub_col]
+    return out
+
+
+class TestFusedMatrices:
+    """Every fused block's matrix, multiplied out in stream order, must
+    equal the dense product of the original gates within 1e-12."""
+
+    def _check(self, stream, num_qubits):
+        reference = QuantumCircuit(num_qubits, list(stream)).unitary()
+        total = np.eye(1 << num_qubits, dtype=complex)
+        for block in fuse_stream(list(stream), drop_identity=False):
+            if block.matrix is None:
+                local = QuantumCircuit(num_qubits, [block.gate]).unitary()
+            else:
+                local = _embed(block.matrix, block.qubits, num_qubits)
+            total = local @ total
+        assert np.max(np.abs(total - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_clifford_t_streams(self, seed):
+        self._check(list(random_circuit(4, 50, seed=seed)), 4)
+
+    def test_one_pair_run_in_both_wire_orders(self):
+        stream = [
+            H(1), CNOT(1, 0), Gate("T", (0,)), CZ(1, 0), SWAP(1, 0),
+            CNOT(0, 1), Gate("SDG", (1,)), Gate("Y", (0,)),
+        ]
+        blocks = fuse_stream(stream, drop_identity=False)
+        assert len(blocks) == 1 and blocks[0].qubits == (0, 1)
+        self._check(stream, 2)
+
+    def test_rotations_and_rxx(self):
+        import math
+
+        stream = [
+            Gate("RX", (0,), (math.pi / 2,)),
+            Gate("RXX", (1, 0), (math.pi / 4,)),
+            Gate("RZ", (1,), (0.3,)),
+            Gate("RY", (0,), (-1.1,)),
+            Gate("RXX", (0, 2), (0.7,)),
+            Gate("RZ", (2,), (math.pi,)),
+        ]
+        self._check(stream, 3)
+
+    def test_cached_gate_matrices_are_read_only(self):
+        blocks = fuse_stream([H(0), X(0)], drop_identity=False)
+        assert blocks[0].matrix is not None
+        from repro.qmdd.fusion import _gate_1q
+
+        with pytest.raises(ValueError):
+            _gate_1q("H", ())[0, 0] = 0

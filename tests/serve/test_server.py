@@ -135,6 +135,28 @@ class TestConcurrentStorm:
             box.stop()
 
 
+class TestKeepAlive:
+    def test_kept_alive_connection_does_not_stall(self, running_server):
+        """Headers and body leave in two writes; without TCP_NODELAY the
+        body waits for the client's delayed ACK (~40 ms a response)."""
+        import http.client
+        import json
+
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", running_server.server.port, timeout=10
+        )
+        try:
+            began = time.monotonic()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            assert time.monotonic() - began < 0.5
+        finally:
+            connection.close()
+
+
 class TestOverload:
     def test_full_admission_queue_answers_429(self):
         box = RunningServer(
@@ -161,6 +183,16 @@ class TestOverload:
             for holder in holders:
                 holder.start()
             slow_started.wait(timeout=5.0)
+            # Both holders must hold their admission slots before the
+            # overflow loop starts, or an overflow request can take the
+            # last slot and leave a holder with the 429.
+            deadline = time.monotonic() + 10.0
+            while (
+                box.service.server_stats()["in_flight"] < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert box.service.server_stats()["in_flight"] == 2
             # Generous window: under a loaded machine the holders can
             # take a while to both be admitted.
             deadline = time.monotonic() + 10.0

@@ -108,7 +108,9 @@ class TestQmddFalseNegativeRecheck:
         assert report.equivalent
         assert "recheck:dense" in report.detail
 
-    def test_recheck_rescues_equal_wide_circuits(self, monkeypatch):
+    def test_sampled_recheck_cannot_overturn_a_wide_no(self, monkeypatch):
+        """Beyond the dense limit the recheck only samples inputs: its
+        agreement is recorded, but a complete NO stands."""
         self._fake_no(monkeypatch)
         gate = MCX(*range(9), 20)
         from repro.backend import lower_mcx_gates
@@ -116,8 +118,8 @@ class TestQmddFalseNegativeRecheck:
         a = QuantumCircuit(96, [gate])
         b = QuantumCircuit(96, lower_mcx_gates([gate], 96))
         report = verify_equivalent(a, b, method="qmdd")
-        assert report.equivalent
-        assert "recheck:sampled" in report.detail
+        assert not report.equivalent
+        assert "recheck:sampled agreed on 32 samples" in report.detail
 
     def test_recheck_confirms_true_negatives(self, monkeypatch):
         self._fake_no(monkeypatch)
