@@ -38,6 +38,8 @@ from .toffoli import expand_non_native
 
 #: Routing strategies accepted by ``map_circuit(route=...)``.
 ROUTE_STRATEGIES = ("ctr", "sabre")
+#: Generalized-Toffoli lowerings accepted by ``mcx_mode=...``.
+MCX_MODES = ("barenco", "relative_phase")
 
 
 def identity_placement(circuit: QuantumCircuit, device: Device) -> Dict[int, int]:

@@ -28,6 +28,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.circuit import QuantumCircuit
 from ..core.exceptions import NotSynthesizableError, SynthesisError
 from ..devices.device import Device
+from .mapper import identity_placement
+
+#: Strategy names accepted by :func:`choose_placement`.
+PLACEMENT_STRATEGIES = ("identity", "greedy", "refined")
 
 
 def interaction_graph(circuit: QuantumCircuit) -> Dict[Tuple[int, int], int]:
@@ -255,12 +259,7 @@ def choose_placement(
     interaction-driven placement; ``refined`` additionally hill-climbs.
     """
     if strategy == "identity":
-        if circuit.num_qubits > device.num_qubits:
-            raise NotSynthesizableError(
-                f"circuit needs {circuit.num_qubits} qubits; "
-                f"{device.name} has {device.num_qubits}"
-            )
-        return {q: q for q in range(circuit.num_qubits)}
+        return identity_placement(circuit, device)
     if strategy == "greedy":
         return greedy_placement(circuit, device)
     if strategy == "refined":

@@ -2,14 +2,18 @@
 
 A cache key addresses one compilation *cell* by content, not identity:
 
+* the :data:`~repro.compiler.COMPILER_EPOCH`, bumped whenever the
+  compiler's outputs change, so a persistent store never serves an
+  older compiler's result;
 * the circuit **fingerprint** (SHA-256 over width and the exact gate
   cascade, :meth:`~repro.core.circuit.QuantumCircuit.fingerprint`);
-* the **device identity** (name, width, gate set, and the device's
-  annotated cost function);
-* the **cost-function identity** of any explicit override;
-* every compile **option** that can change the output (optimize flag,
-  verify method and strategy, placement, MCX lowering mode, sample
-  count).
+* the **device identity** (name, width, gate set, directed coupling
+  edges, and the device's annotated cost function);
+* every ``keyed`` field of :class:`~repro.compiler.CompileOptions` —
+  every option except ``trace`` — in its normalised form, with the
+  cost-function override by content identity.  Equal compiles share
+  a key: ``verify=True`` and ``"auto"`` do, so do ``placement=None``
+  and ``"identity"``.
 
 Two grid cells with the same key provably run the identical compilation,
 so the second one is served from cache — the paper's Tables 3 vs 4 and
@@ -34,9 +38,14 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from ..compiler import CompilationResult
+from ..compiler import (
+    COMPILER_EPOCH,
+    KEYED_OPTIONS,
+    CompilationResult,
+    CompileOptions,
+)
 from ..core.circuit import QuantumCircuit
 from ..core.cost import CostFunction
 from ..devices.device import Device
@@ -80,52 +89,34 @@ def cost_function_identity(cost_function: Optional[CostFunction]) -> Optional[st
 
 
 def device_identity(device: Device) -> Optional[str]:
-    """Device part of the cache key: name, width, library, cost function."""
+    """Device part of the cache key: name, width, library, coupling
+    edges, cost function."""
     cost_id = cost_function_identity(device.cost_function)
     if cost_id is None:
         return None
-    return "{}|{}|{}|{}".format(
-        device.name, device.num_qubits, ",".join(device.gate_set), cost_id
+    return "{}|{}|{}|{}|{}".format(
+        device.name, device.num_qubits, ",".join(device.gate_set),
+        device.coupling_map.identity, cost_id,
     )
 
 
 def job_cache_key(
-    circuit: QuantumCircuit, device: Device, options: Dict
+    circuit: QuantumCircuit, device: Device, options: Mapping[str, Any]
 ) -> Optional[str]:
     """Content-address one compilation, or ``None`` if uncacheable.
 
-    ``options`` are the keyword arguments handed to
-    :func:`repro.compiler.compile_circuit`.
+    ``options`` are :func:`repro.compiler.compile_circuit`'s keyword
+    arguments; the key hashes their :class:`~repro.compiler.CompileOptions`.
     """
+    opts = CompileOptions.of(options)
     dev_id = device_identity(device)
-    if dev_id is None:
+    cost_id = cost_function_identity(opts.cost_function)
+    if dev_id is None or cost_id is None:
         return None
-    cost_id = cost_function_identity(options.get("cost_function"))
-    if cost_id is None:
-        return None
-    placement = options.get("placement")
-    if isinstance(placement, dict):
-        placement_id = ",".join(
-            f"{k}:{v}" for k, v in sorted(placement.items())
-        )
-    else:
-        placement_id = str(placement)
-    parts = (
-        circuit.fingerprint(),
-        dev_id,
-        cost_id,
-        f"optimize={options.get('optimize', True)}",
-        f"verify={options.get('verify', True)}",
-        f"placement={placement_id}",
-        f"mcx_mode={options.get('mcx_mode', 'barenco')}",
-        f"verify_samples={options.get('verify_samples', 32)}",
-        f"verify_strategy={options.get('verify_strategy', 'miter')}",
-        "known_zero={}".format(
-            ",".join(map(str, sorted(options.get("known_zero", ()) or ())))
-        ),
-        f"route={options.get('route', 'ctr')}",
-        f"restore_layout={options.get('restore_layout', False)}",
-    )
+    parts = [f"epoch={COMPILER_EPOCH}", circuit.fingerprint(), dev_id]
+    for name in KEYED_OPTIONS:
+        value = cost_id if name == "cost_function" else getattr(opts, name)
+        parts.append(f"{name}={value!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 

@@ -70,7 +70,7 @@ from typing import (
     Union,
 )
 
-from ..compiler import CompilationResult, compile_circuit
+from ..compiler import CompilationResult, CompileOptions, compile_circuit
 
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
@@ -80,26 +80,6 @@ from ..devices.device import Device, get_device
 from ..obs import MetricsRegistry, get_metrics
 from . import faults
 from .cache import CompilationCache, job_cache_key
-
-#: Options accepted by :func:`repro.compiler.compile_circuit`, the only
-#: keys a job's options mapping may carry.
-_KNOWN_OPTIONS = frozenset(
-    {
-        "optimize",
-        "verify",
-        "placement",
-        "cost_function",
-        "verify_samples",
-        "verify_strategy",
-        "mcx_mode",
-        "analyze",
-        "strict",
-        "trace",
-        "known_zero",
-        "route",
-        "restore_layout",
-    }
-)
 
 #: Exception type names the engine treats as transient (retryable).
 TRANSIENT_ERROR_TYPES = frozenset(
@@ -131,28 +111,20 @@ class CompileJob:
         options: Optional[Dict] = None,
         label: str = "",
     ) -> "CompileJob":
-        """Normalize user input into a job (resolves device names,
-        validates option keys)."""
+        """Normalize user input into a job: resolve the device name,
+        validate ``options`` through
+        :class:`~repro.compiler.CompileOptions` and keep the keys given,
+        with their values normalised."""
         if isinstance(device, str):
             device = get_device(device)
-        options = dict(options or {})
-        unknown = set(options) - _KNOWN_OPTIONS
-        if unknown:
-            raise ReproError(
-                f"unknown compile option(s): {', '.join(sorted(unknown))}"
-            )
-        if "known_zero" in options:
-            # Normalize to a hashable, order-independent form so equal
-            # jobs compare (and cache-key) identically.
-            options["known_zero"] = tuple(
-                sorted(int(q) for q in options["known_zero"] or ())
-            )
+        given = options or {}
+        normalized = CompileOptions.of(given)
         if not label:
             label = f"{circuit.name or 'circuit'}@{device.name}"
         return cls(
             circuit=circuit,
             device=device,
-            options=tuple(sorted(options.items(), key=lambda kv: kv[0])),
+            options=tuple((name, getattr(normalized, name)) for name in sorted(given)),
             label=label,
         )
 

@@ -23,10 +23,13 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .backend.mapper import MCX_MODES, ROUTE_STRATEGIES
+from .backend.placement import PLACEMENT_STRATEGIES
 from .core.exceptions import NotSynthesizableError, ReproError
 from .devices import available_devices, get_device
 from .io import read_circuit, to_qasm, to_qc, to_real
 from .verify import verify_equivalent
+from .verify.equivalence import VERIFY_METHODS, VERIFY_STRATEGIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,22 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "(.qasm/.qc/.real by extension; default stdout). "
                              "With several inputs: an output directory")
     compile_cmd.add_argument("--placement", default="identity",
-                             choices=["identity", "greedy", "refined"])
+                             choices=PLACEMENT_STRATEGIES)
     compile_cmd.add_argument("--no-optimize", action="store_true",
                              help="emit the raw mapping")
     compile_cmd.add_argument("--verify", default="auto",
-                             choices=["auto", "qmdd", "dense", "sampled", "none"])
-    compile_cmd.add_argument("--verify-strategy", dest="verify_strategy",
-                             default="miter",
-                             choices=["miter", "two_sided"],
-                             help="QMDD build strategy: incremental miter "
-                                  "against the identity (default, fast) or "
-                                  "the paper's two-sided root comparison")
+                             choices=VERIFY_METHODS + ("none",))
     compile_cmd.add_argument("--mcx-mode", default="barenco",
-                             choices=["barenco", "relative_phase"],
+                             choices=MCX_MODES,
                              help="generalized-Toffoli lowering strategy")
     compile_cmd.add_argument("--route", default="ctr",
-                             choices=["ctr", "sabre"],
+                             choices=ROUTE_STRATEGIES,
                              help="CNOT legalization: the paper's CTR "
                                   "(swap there and back, default) or the "
                                   "dynamic-layout sabre router (fewer SWAPs; "
@@ -141,10 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes for the compile fan-out")
     fuzz.add_argument("--timeout", type=float, default=30.0,
                       help="per-case compile timeout in seconds (default 30)")
-    fuzz.add_argument("--verify-strategy", dest="verify_strategy",
-                      default="miter", choices=["miter", "two_sided"],
-                      help="QMDD oracle build strategy (default miter)")
-    fuzz.add_argument("--route", default=None, choices=["ctr", "sabre"],
+    fuzz.add_argument("--route", default=None, choices=ROUTE_STRATEGIES,
                       help="pin the routing axis to one strategy "
                            "(default: the campaign sweeps both)")
     fuzz.add_argument("--corpus-dir", default=None,
@@ -244,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("first")
     verify.add_argument("second")
-    verify.add_argument("--method", default="auto",
-                        choices=["auto", "qmdd", "dense", "sampled"])
+    verify.add_argument("--method", default="auto", choices=VERIFY_METHODS)
     verify.add_argument("--strategy", default="miter",
-                        choices=["miter", "two_sided"],
+                        choices=VERIFY_STRATEGIES,
                         help="QMDD build strategy (default miter)")
     verify.add_argument("--up-to-global-phase", action="store_true")
     verify.set_defaults(handler=cmd_verify)
@@ -288,12 +281,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    verify = False if args.verify == "none" else args.verify
     tracing = bool(args.profile or args.trace_out)
     options = {
         "optimize": not args.no_optimize,
-        "verify": verify,
-        "verify_strategy": args.verify_strategy,
+        "verify": False if args.verify == "none" else args.verify,
         "placement": args.placement,
         "mcx_mode": args.mcx_mode,
         "route": args.route,
@@ -757,7 +748,6 @@ def cmd_fuzz(args) -> int:
         devices=list(args.fuzz_devices) if args.fuzz_devices else None,
         workers=args.workers,
         timeout=args.timeout,
-        verify_strategy=args.verify_strategy,
         route=args.route,
     )
     report = run_fuzz(

@@ -10,21 +10,26 @@ cascade -> the same back-end.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from .analysis.contracts import StageContracts
 from .analysis.diagnostics import DiagnosticReport
 from .core.circuit import QuantumCircuit
 from .core.cost import CircuitMetrics, CostFunction
 from .devices.device import Device, get_device
-from .backend.mapper import identity_placement, map_circuit_outcome
+from .backend.mapper import MCX_MODES, ROUTE_STRATEGIES, map_circuit_outcome
+from .backend.placement import PLACEMENT_STRATEGIES, choose_placement
 from .obs import NULL_TRACER, Tracer, get_metrics
 from .optimize.local import LocalOptimizer
-from .verify.equivalence import VerificationReport, require_equivalent
+from .verify.equivalence import (
+    VERIFY_METHODS,
+    VerificationReport,
+    require_equivalent,
+)
 from .frontend.truth_table import TruthTable
 from .frontend.cascade import synthesize_truth_table
-from .core.exceptions import SynthesisError
+from .core.exceptions import ReproError, SynthesisError
 
 
 @dataclass
@@ -97,83 +102,180 @@ class CompilationResult:
         )
 
 
+COMPILER_EPOCH = 1
+"""Version of the compiler's outputs.  Every cache key carries it, so a
+persistent ``.repro_cache/`` never serves an older compiler's result:
+bump it with any change to what a compile returns."""
+COMPILER_EPOCH_DIGEST = (
+    "590dbcab9e0e3c93b42c2caa988003980a72da8456169523bcec7a87951afac8"
+)
+"""SHA-256 over the golden Table 3 cells at this epoch, recomputed by
+``tests/batch/test_compiler_epoch.py``."""
+
+
+def _option(default: Any, normalize: Callable[[Any], Any], expected: str,
+            *, keyed: bool = True, wire: bool = True) -> Any:
+    """A :class:`CompileOptions` field.  ``normalize`` returns a value's
+    canonical form and raises ``TypeError``/``ValueError`` unless it is
+    ``expected``; ``keyed`` fields change the output (the cache key
+    covers them) and ``wire`` fields may be set by a ``repro serve``
+    request."""
+    return field(default=default, metadata=dict(
+        normalize=normalize, expected=expected, keyed=keyed, wire=wire))
+
+
+def _require(ok: bool, value: Any) -> Any:
+    if not ok:
+        raise ValueError(value)
+    return value
+
+
+def _flag(default: bool, **flags: bool) -> Any:
+    return _option(default, lambda v: _require(type(v) is bool, v), "true or false", **flags)
+
+
+def _choice(choices: Tuple[str, ...], default: str) -> Any:
+    return _option(default, lambda v: _require(v in choices, v), "one of " + ", ".join(choices))
+
+
+def _verify(value: Any) -> Union[bool, str]:
+    if isinstance(value, bool):
+        return "auto" if value else False
+    return _require(value in VERIFY_METHODS, value)
+
+
+def _placement(value: Any) -> Union[str, Tuple[Tuple[int, int], ...]]:
+    if value is None or isinstance(value, str):
+        value = value or "identity"
+        return _require(value in PLACEMENT_STRATEGIES, value)
+    pairs = tuple(sorted(dict(value).items()))
+    return _require(all(type(q) is int for pair in pairs for q in pair), pairs)
+
+
+def _wires(value: Any) -> Tuple[int, ...]:
+    wires = tuple(sorted(set(value or ())))
+    ints = all(type(q) is int for q in wires)
+    return _require(ints and not isinstance(value, str), wires)
+
+
+@dataclass(frozen=True)
+class CompileOptions:
+    """Every option of one compile, validated and normalised once.
+
+    The fields are the only list of compile options: they are
+    :func:`compile_circuit`'s keywords, what
+    :meth:`~repro.batch.CompileJob.make` accepts, what the cache key
+    hashes (``keyed``) and what ``repro serve`` accepts (``wire``).  A
+    bad value raises :class:`~repro.core.exceptions.ReproError` at
+    construction.  Equal compiles get equal options: ``verify=True`` is
+    ``"auto"``, ``placement=None`` is ``"identity"``, a placement dict
+    and ``known_zero`` become sorted tuples.
+    """
+
+    optimize: bool = _flag(True)
+    """Run the local optimizer under the device cost function."""
+    verify: Union[bool, str] = _option(
+        "auto", _verify, "true, false or one of " + ", ".join(VERIFY_METHODS))
+    """False, or the verification method: ``"auto"`` (also spelled
+    True: QMDD when narrow enough, sparse sampling beyond), ``"qmdd"``,
+    ``"dense"`` or ``"sampled"``.  Failure raises
+    :class:`~repro.core.exceptions.VerificationError` — a mapped output
+    never leaves the compiler unless it provably matches its source."""
+    placement: Union[str, Tuple[Tuple[int, int], ...]] = _option(
+        "identity", _placement, "a strategy name or {logical: physical}")
+    """A strategy name — ``"identity"`` (the paper's), ``"greedy"`` or
+    ``"refined"``, see :mod:`repro.backend.placement` — or an explicit
+    logical→physical dict."""
+    cost_function: Optional[CostFunction] = _option(
+        None, lambda v: _require(v is None or isinstance(v, CostFunction), v),
+        "a CostFunction", wire=False)
+    """Override of the device's cost function.  Not accepted over the
+    wire: an opaque callable has no JSON identity."""
+    verify_samples: int = _option(
+        32, lambda v: _require(type(v) is int and v > 0, v), "a positive integer")
+    """Basis inputs tried by sampled verification."""
+    mcx_mode: str = _choice(MCX_MODES, "barenco")
+    """Generalized-Toffoli lowering: the paper's ``"barenco"`` dirty
+    V-chain, or Margolus gates on the ladder (``"relative_phase"``,
+    about two-thirds the T-count)."""
+    analyze: bool = _flag(True)
+    """Run the static stage contracts (:mod:`repro.analysis.contracts`)
+    after each stage — coupling legality and gate-set conformance after
+    mapping and optimization, ancilla restoration after lowering, and
+    the optimizer's cost monotonicity — and record the findings on
+    :attr:`CompilationResult.diagnostics`."""
+    strict: bool = _flag(False)
+    """Raise :class:`~repro.core.exceptions.ContractViolation` at the
+    first stage with an error-severity contract finding, before
+    verification runs."""
+    trace: bool = _flag(False, keyed=False, wire=False)
+    """Record nested per-stage spans (placement, lowering, routing,
+    each optimizer round with its cost delta, verification) on
+    :attr:`CompilationResult.trace`.  Its disabled cost is a few no-op
+    calls.  Over the wire it is ``?profile=1``."""
+    known_zero: Tuple[int, ...] = _option((), _wires, "a list of wire indices")
+    """Logical wires asserted to start in |0⟩.  Translated through the
+    placement, the facts let the optimizer's constant propagation
+    delete gates that are inert on that subspace, and verification
+    then checks equivalence on the same subspace."""
+    route: str = _choice(ROUTE_STRATEGIES, "ctr")
+    """CNOT legalization: the paper's ``"ctr"`` (every distant CNOT
+    swaps there and back) or ``"sabre"`` (dynamic layout, about half
+    the SWAPs; the output wires end permuted, as recorded on
+    :attr:`CompilationResult.output_permutation`)."""
+    restore_layout: bool = _flag(False)
+    """With ``route="sabre"``, append the device-legal uncompute SWAP
+    tail so the wires keep their identity."""
+
+    def __post_init__(self) -> None:
+        for option in fields(self):
+            value = getattr(self, option.name)
+            try:
+                value = option.metadata["normalize"](value)
+            except (TypeError, ValueError):
+                raise ReproError(
+                    f"compile option {option.name}={value!r}: expected "
+                    f"{option.metadata['expected']}") from None
+            object.__setattr__(self, option.name, value)
+
+    @classmethod
+    def of(cls, options: Mapping[str, Any]) -> "CompileOptions":
+        """Build from keyword options, rejecting unknown names."""
+        unknown = set(options) - OPTION_NAMES
+        if unknown:
+            raise ReproError(f"unknown compile option(s): {', '.join(sorted(unknown))}")
+        return cls(**options)
+
+
+OPTION_NAMES = frozenset(f.name for f in fields(CompileOptions))
+KEYED_OPTIONS = tuple(f.name for f in fields(CompileOptions) if f.metadata["keyed"])
+"""Options that change the output, in field order: the cache key."""
+WIRE_OPTIONS = frozenset(f.name for f in fields(CompileOptions) if f.metadata["wire"])
+"""Options a ``repro serve`` request may set."""
+
+
 def compile_circuit(
     circuit: QuantumCircuit,
     device: Union[Device, str],
-    optimize: bool = True,
-    verify: Union[bool, str] = True,
-    placement: Union[None, str, Dict[int, int]] = None,
-    cost_function: Optional[CostFunction] = None,
-    verify_samples: int = 32,
-    verify_strategy: str = "miter",
-    mcx_mode: str = "barenco",
-    analyze: bool = True,
-    strict: bool = False,
-    trace: bool = False,
+    *,
     tracer: Optional[Tracer] = None,
-    known_zero: Iterable[int] = (),
-    route: str = "ctr",
-    restore_layout: bool = False,
+    **options: Any,
 ) -> CompilationResult:
     """Compile a technology-independent circuit for ``device``.
 
-    ``verify`` may be False, True (method chosen automatically: QMDD when
-    narrow enough, sparse sampling beyond), or an explicit method name
-    (``"qmdd"``, ``"dense"``, ``"sampled"``).  Verification failure raises
-    :class:`~repro.core.exceptions.VerificationError` — a mapped output
-    never leaves the compiler unless it provably matches its source.
-    ``verify_strategy`` picks the QMDD build: ``"miter"`` (incremental
-    product against the identity — the fast path) or ``"two_sided"``
-    (the paper's build-both-and-compare formulation).
-
-    ``placement`` is an explicit logical→physical dict, a strategy name
-    (``"identity"``, ``"greedy"``, ``"refined"`` — see
-    :mod:`repro.backend.placement`), or None for the paper's default
-    identity placement.
-
-    ``analyze`` runs the static stage contracts
-    (:mod:`repro.analysis.contracts`) after each pipeline stage: coupling
-    legality and native-gate-set conformance post-mapping and
-    post-optimization, Barenco ancilla restoration post-lowering, and
-    the cost-monotonicity guard across the optimizer.  In the default
-    mode findings are recorded on ``CompilationResult.diagnostics``;
-    with ``strict=True`` any error-severity finding raises
-    :class:`~repro.core.exceptions.ContractViolation` at the offending
-    stage, before verification runs.
-
-    ``trace=True`` (or an explicit ``tracer``) records nested per-stage
-    spans — placement, lowering, routing, each optimizer fixpoint
-    iteration with its cost delta, verification — and attaches the
-    summary to :attr:`CompilationResult.trace`.  Tracing is default-off
-    and its disabled cost is a few no-op calls per compile.
-
-    ``known_zero`` asserts that the listed *logical* wires start in |0⟩
-    (e.g. a fresh target wire of a single-target-gate cascade, or clean
-    hardware ancillas).  The facts are translated through the placement,
-    handed to the optimizer's dataflow constant-propagation pass (which
-    may delete routing/decomposition gates that are provably inert on
-    that subspace) and to verification, which then checks equivalence
-    restricted to the same subspace.  Without facts this costs nothing.
-
-    ``route`` selects CNOT legalization: ``"ctr"`` (the paper's
-    Connectivity-Tree Reroute — every distant CNOT swaps there and
-    back, wires keep their identity) or ``"sabre"`` (dynamic-layout
-    routing — about half the SWAPs, but the output wires end permuted;
-    the permutation is recorded on
-    :attr:`CompilationResult.output_permutation` and verification
-    composes its inverse into the equivalence check).  With
-    ``restore_layout=True`` the sabre path appends the device-legal
-    uncompute SWAP tail instead, for consumers that need wire identity.
+    ``options`` are the fields of :class:`CompileOptions` (documented
+    there).  An explicit ``tracer`` records spans like ``trace=True``.
     """
+    opts = CompileOptions.of(options)
     if isinstance(device, str):
         device = get_device(device)
-    cost = cost_function or device.cost_function
+    cost = opts.cost_function or device.cost_function
     contracts = (
-        StageContracts(device=device, strict=strict)
-        if analyze or strict
+        StageContracts(device=device, strict=opts.strict)
+        if opts.analyze or opts.strict
         else None
     )
-    if tracer is None and trace:
+    if tracer is None and opts.trace:
         tracer = Tracer()
     t = tracer if tracer is not None else NULL_TRACER
 
@@ -185,19 +287,14 @@ def compile_circuit(
         gates_in=len(circuit),
     ) as root:
         with t.span("placement"):
-            if placement is None:
-                placement = identity_placement(circuit, device)
-            elif isinstance(placement, str):
-                from .backend.placement import choose_placement
-
-                placement = choose_placement(
-                    circuit, device, strategy=placement
-                )
+            placement = (
+                dict(opts.placement) if isinstance(opts.placement, tuple)
+                else choose_placement(circuit, device, opts.placement))
         # Input facts arrive on logical wires; everything downstream of
         # placement (optimizer, verifier) sees physical indices.
         physical_zero = frozenset(
             placement[q]
-            for q in known_zero
+            for q in opts.known_zero
             if 0 <= q < circuit.num_qubits and q in placement
         )
         if contracts is not None:
@@ -208,11 +305,11 @@ def compile_circuit(
                 circuit,
                 device,
                 placement,
-                mcx_mode=mcx_mode,
+                mcx_mode=opts.mcx_mode,
                 contracts=contracts,
                 tracer=tracer,
-                route=route,
-                restore_layout=restore_layout,
+                route=opts.route,
+                restore_layout=opts.restore_layout,
             )
             unoptimized = mapping.unoptimized
             output_permutation = mapping.output_permutation
@@ -221,7 +318,7 @@ def compile_circuit(
             with t.span("analyze.mapped"):
                 contracts.check("mapped", unoptimized, device=device)
         dataflow_stats = None
-        if optimize:
+        if opts.optimize:
             optimizer = LocalOptimizer(
                 cost,
                 device.coupling_map,
@@ -249,7 +346,7 @@ def compile_circuit(
         if contracts is not None:
             with t.span("analyze.optimized"):
                 contracts.check("optimized", optimized, device=device)
-                if optimize:
+                if opts.optimize:
                     contracts.check_cost(
                         "optimized",
                         unoptimized_metrics.cost,
@@ -257,8 +354,7 @@ def compile_circuit(
                     )
 
         report: Optional[VerificationReport] = None
-        if verify:
-            method = verify if isinstance(verify, str) else "auto"
+        if opts.verify:
             with t.span("verify") as verify_span:
                 source = circuit.remapped(
                     placement, num_qubits=device.num_qubits
@@ -268,9 +364,9 @@ def compile_circuit(
                 # phase per entangler.
                 phase_free = not device.supports_gate("CNOT")
                 report = require_equivalent(
-                    source, optimized, method=method, samples=verify_samples,
+                    source, optimized, method=opts.verify,
+                    samples=opts.verify_samples,
                     up_to_global_phase=phase_free,
-                    strategy=verify_strategy,
                     known_zero=physical_zero,
                     output_permutation=output_permutation,
                 )
@@ -318,7 +414,7 @@ def compile_circuit(
         synthesis_seconds=elapsed,
         placement=placement,
         output_permutation=output_permutation,
-        route=route,
+        route=opts.route,
         diagnostics=(
             contracts.report if contracts is not None else DiagnosticReport()
         ),

@@ -48,6 +48,8 @@ class CouplingMap:
                 raise DeviceError(
                     f"coupling {control}->{target} outside 0..{num_qubits - 1}"
                 )
+        #: Content identity of the map (part of every cache key).
+        self.identity = "all" if self.all_to_all else repr(sorted(self._directed))
         # Undirected adjacency for CTR routing.
         neighbors: Dict[int, set] = {q: set() for q in range(num_qubits)}
         for control, target in self._directed:

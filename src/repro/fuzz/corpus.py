@@ -187,7 +187,6 @@ def replay_entry(
         samples=config.oracle_samples,
         seed=config.seed,
         qmdd_width_limit=config.qmdd_width_limit,
-        strategy=config.verify_strategy,
     )
     if not verdict.equivalent:
         return ReplayOutcome(

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..backend.mapper import MCX_MODES, ROUTE_STRATEGIES
 from ..batch.engine import CompileJob, compile_many
 from ..compiler import CompilationResult
 from ..core.circuit import QuantumCircuit
@@ -106,9 +107,7 @@ COST_VARIANTS: Dict[str, Optional[CostFunction]] = {
     "volume": CostFunction(name="gate-volume", base_weight=1.0),
 }
 
-_MCX_MODES = ("barenco", "relative_phase")
 _PLACEMENTS = ("identity", "greedy")
-_ROUTES = ("ctr", "sabre")
 
 #: Failure classes the harness does NOT report: expected rejections and
 #: batch-engine fault handling (reported separately via BatchReport).
@@ -147,8 +146,6 @@ class FuzzConfig:
     timeout: Optional[float] = 30.0
     oracle_samples: int = 32
     qmdd_width_limit: int = 24
-    #: QMDD build strategy for the oracle ("miter" or "two_sided").
-    verify_strategy: str = "miter"
     #: Pin the routing axis to one strategy ("ctr"/"sabre"); ``None``
     #: (the default) lets every case draw its router like any other
     #: option axis, so the differential oracle covers both.
@@ -258,9 +255,9 @@ def _case_options(
     """Draw one option vector (as corpus-storable names)."""
     return {
         "cost": rng.choice(sorted(COST_VARIANTS)),
-        "mcx_mode": rng.choice(_MCX_MODES),
+        "mcx_mode": rng.choice(MCX_MODES),
         "placement": rng.choice(_PLACEMENTS),
-        "route": route if route is not None else rng.choice(_ROUTES),
+        "route": route if route is not None else rng.choice(ROUTE_STRATEGIES),
     }
 
 
@@ -331,7 +328,6 @@ def _still_miscompiles(
             samples=config.oracle_samples,
             seed=config.seed,
             qmdd_width_limit=config.qmdd_width_limit,
-            strategy=config.verify_strategy,
         )
         return not report.equivalent
 
@@ -507,7 +503,6 @@ def _judge(
         samples=config.oracle_samples,
         seed=config.seed,
         qmdd_width_limit=config.qmdd_width_limit,
-        strategy=config.verify_strategy,
     )
     report.oracle_checks += 1
     if verdict.equivalent:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional
 from ..batch.cache import CompilationCache
 from ..batch.engine import CompileJob, default_worker_count
 from ..batch.serialize import result_to_payload
-from ..compiler import compile_circuit
+from ..compiler import WIRE_OPTIONS
 from ..core.circuit import QuantumCircuit
 from ..core.exceptions import ParseError, ReproError
 from ..io import parse_qasm, parse_qc, parse_real
@@ -48,7 +48,8 @@ class QueueFullError(ReproError):
 
 class RequestError(ReproError):
     """The request payload is malformed (bad JSON shape, unknown
-    format/device/option, unparsable circuit).  HTTP layer: 400."""
+    format/device/option, bad option value, unparsable circuit).  HTTP
+    layer: 400."""
 
 
 #: Circuit text parsers by wire-format name.
@@ -57,12 +58,6 @@ _PARSERS: Dict[str, Callable[..., QuantumCircuit]] = {
     "qc": parse_qc,
     "real": parse_real,
 }
-
-#: Compile options a *remote* request may not set: tracing is owned by
-#: the ``?profile=1`` query switch, and an opaque cost function has no
-#: JSON identity (it could neither travel the wire nor be cached).
-_FORBIDDEN_OPTIONS = frozenset({"trace", "tracer", "cost_function"})
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -189,7 +184,7 @@ class CompileService:
         """Worker-thread body: parse, consult the cache, compile."""
         registry = get_metrics()
         try:
-            job = self._parse_job(payload)
+            job = self._parse_job(payload, profile)
             if self.config.allow_test_delay and isinstance(payload, dict):
                 delay = payload.get("test_delay_seconds")
                 if delay:
@@ -199,10 +194,7 @@ class CompileService:
             result = self.cache.get(key)
             from_cache = result is not None
             if result is None:
-                options = job.option_dict
-                if profile:
-                    options["trace"] = True
-                result = compile_circuit(job.circuit, job.device, **options)
+                result = job.run()
                 self.cache.put(key, result)
                 with self._lock:
                     self._compiled_total += 1
@@ -232,8 +224,9 @@ class CompileService:
             registry.inc("serve.errors")
             raise
 
-    def _parse_job(self, payload: Any) -> CompileJob:
-        """Validate the request body into a :class:`CompileJob`."""
+    def _parse_job(self, payload: Any, profile: bool) -> CompileJob:
+        """Validate the request body into a :class:`CompileJob`; with
+        ``profile`` the job traces (``trace`` is not part of the key)."""
         if not isinstance(payload, dict):
             raise RequestError("request body must be a JSON object")
         source = payload.get("circuit")
@@ -255,12 +248,14 @@ class CompileService:
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise RequestError("'options' must be a JSON object")
-        forbidden = set(options) & _FORBIDDEN_OPTIONS
-        if forbidden:
+        refused = set(options) - WIRE_OPTIONS
+        if refused:
             raise RequestError(
                 "option(s) not accepted over the wire: "
-                + ", ".join(sorted(forbidden))
+                + ", ".join(sorted(refused))
             )
+        if profile:
+            options = dict(options, trace=True)
         try:
             circuit = parser(source, name=name or "request")
         except ParseError as error:

@@ -64,6 +64,8 @@ from .sparse_sim import run_sparse, sampled_equivalence
 
 #: QMDD strategies accepted by ``verify_equivalent(strategy=...)``.
 VERIFY_STRATEGIES = ("miter", "two_sided")
+#: Methods accepted by ``verify_equivalent(method=...)``.
+VERIFY_METHODS = ("auto", "qmdd", "dense", "sampled")
 
 #: Width bound of the abstract-permutation pre-screen (the exact
 #: permutation of both circuits is built; 2^width entries each).

@@ -95,6 +95,87 @@ class TestCacheKey:
         assert "ibmqx4" in device_identity(get_device("ibmqx4"))
 
 
+def key(options, device="ibmqx4"):
+    return job_cache_key(bell(), get_device(device), options)
+
+
+class TestKeyCoversEveryOption:
+    """The key is derived from the ``keyed`` fields of CompileOptions,
+    so an option that changes the output cannot be left out of it."""
+
+    def test_analyze_and_strict_change_the_key(self):
+        assert key({"analyze": False}) != key({})
+        assert key({"strict": True}) != key({})
+
+    def test_compiler_epoch_changes_the_key(self, monkeypatch):
+        import repro.batch.cache as cache_module
+
+        before = key({})
+        monkeypatch.setattr(
+            cache_module, "COMPILER_EPOCH", cache_module.COMPILER_EPOCH + 1
+        )
+        assert key({}) != before
+
+    def test_equal_compiles_share_a_key(self):
+        assert key({"verify": True}) == key({"verify": "auto"}) == key({})
+        assert key({"placement": None}) == key({"placement": "identity"})
+        assert key({"known_zero": [2, 0, 2]}) == key({"known_zero": (0, 2)})
+
+    def test_every_field_is_keyed_or_deliberately_unkeyed(self):
+        from dataclasses import fields
+
+        from repro.compiler import KEYED_OPTIONS, CompileOptions
+
+        unkeyed = {
+            f.name for f in fields(CompileOptions) if not f.metadata["keyed"]
+        }
+        assert unkeyed == {"trace"}
+        assert key({"trace": True}) == key({})
+        # Each keyed field moves the key on its own.
+        variants = {
+            "optimize": False,
+            "verify": "qmdd",
+            "placement": "greedy",
+            "cost_function": CostFunction(name="eqn2", extra_weights={"t": 0.5}),
+            "verify_samples": 8,
+            "mcx_mode": "relative_phase",
+            "analyze": False,
+            "strict": True,
+            "known_zero": (0,),
+            "route": "sabre",
+            "restore_layout": True,
+        }
+        assert set(variants) == set(KEYED_OPTIONS)
+        keys = {key({name: value}) for name, value in variants.items()}
+        assert len(keys | {key({})}) == len(variants) + 1
+
+    def test_compile_circuit_rejects_an_unknown_keyword(self):
+        from repro.core.exceptions import ReproError
+
+        for name in ("verify_strategy", "bogus"):
+            with pytest.raises(ReproError, match="unknown compile option"):
+                compile_circuit(bell(), "ibmqx4", **{name: "miter"})
+
+
+class TestCouplingIdentity:
+    def test_same_name_other_coupling_misses_and_matches_a_fresh_compile(self):
+        from repro.devices.builders import linear_device
+
+        one_way = linear_device(5)
+        both_ways = linear_device(5, bidirectional=True)
+        assert one_way.name == both_ways.name
+        circuit = QuantumCircuit(5, [CNOT(1, 0)], name="cx")
+        cache = CompilationCache()
+        compile_many([CompileJob.make(circuit, one_way)], cache=cache)
+        entry = compile_many(
+            [CompileJob.make(circuit, both_ways)], cache=cache
+        )[0]
+        assert not entry.from_cache
+        fresh = compile_circuit(circuit, both_ways)
+        assert to_qasm(entry.result.optimized) == to_qasm(fresh.optimized)
+        assert len(entry.result.optimized) == len(fresh.optimized) == 1
+
+
 class TestMemoryTier:
     def test_round_trip_and_counters(self):
         cache = CompilationCache(max_entries=4)

@@ -12,7 +12,6 @@ from repro.serve import (
     RequestError,
     ServeConfig,
 )
-from repro.serve.service import _FORBIDDEN_OPTIONS
 
 from .conftest import BELL_QASM, TOFFOLI_QC
 
@@ -109,13 +108,21 @@ class TestRequestValidation:
             _payload(options={"bogus_option": 1}),
             _payload(options=[1, 2]),
             _payload(name=1),
+            # Bad option values are refused before any compile work.
+            _payload(options={"route": "bogus"}),
+            _payload(options={"verify": "nope"}),
+            _payload(options={"known_zero": "ab"}),
+            _payload(options={"placement": 7}),
+            _payload(options={"optimize": "no"}),
         ],
     )
     def test_malformed_payloads_raise_request_error(self, service, payload):
         with pytest.raises(RequestError):
             service.compile_request(payload)
 
-    @pytest.mark.parametrize("option", sorted(_FORBIDDEN_OPTIONS))
+    # Options that are not wire fields of CompileOptions, plus the
+    # compile_circuit keyword that is no option at all.
+    @pytest.mark.parametrize("option", ["cost_function", "trace", "tracer"])
     def test_wire_forbidden_options_rejected(self, service, option):
         with pytest.raises(RequestError, match="not accepted over the wire"):
             service.compile_request(_payload(options={option: True}))
