@@ -15,6 +15,12 @@ A third leg times the verification facade, ``verify_equivalent`` with
 ``method="qmdd"``, which runs the miter on the wires the two circuits
 touch, against the full-width miter: same verdicts, and no slower.
 
+A fourth leg compiles the same cells under ``route="sabre"`` as well and
+verifies both routes through the facade: same verdicts, and the sabre
+outputs, which are shorter but end on a permuted layout, verify no
+slower in total than the CTR ones (the miter tracks routing SWAPs as a
+wire relabelling instead of carrying the permutation in its product).
+
 Each leg runs in a *fresh* manager (no pool, no warm caches) so the
 comparison isolates the strategy itself.  Results land in the
 ``verify`` suite of ``BENCH_runtime.json`` (schema 3).
@@ -69,17 +75,17 @@ def _timed_check(original, mapped, width: int, strategy: str):
     return seconds, result, manager.stats()["peak_unique_nodes"]
 
 
-@lru_cache(maxsize=1)
-def compiled_cells() -> Tuple[List[Tuple[str, Any, Any]], int]:
+@lru_cache(maxsize=2)
+def compiled_cells(route: str = "ctr") -> Tuple[List[Tuple[str, Any, Any]], int]:
     """``([(cell, source, compiled result), ...], N/A count)`` for
-    ``CELLS``, compiled once without verification."""
+    ``CELLS``, compiled once under ``route`` without verification."""
     cells = []
     skipped = 0
     for name, qubits, device_name in CELLS:
         circuit = single_target.build_benchmark(name, qubits)
         try:
             compiled = compile_circuit(
-                circuit, _DEVICES[device_name], verify=False
+                circuit, _DEVICES[device_name], verify=False, route=route
             )
         except ReproError:
             skipped += 1  # N/A cell on this device (no spare qubit)
@@ -116,7 +122,6 @@ def verify_grid() -> List[Dict]:
                 "seconds": round(miter_seconds, 6),
                 "equivalent": bool(miter_result.equivalent),
                 "peak_unique_nodes": miter_peak,
-                "peak_product_nodes": miter_result.peak_nodes,
             },
             "speedup": round(two_seconds / max(miter_seconds, 1e-9), 3),
         })
@@ -185,6 +190,42 @@ def facade_grid() -> List[Dict]:
         "speedup": round(full_total / max(facade_total, 1e-9), 3),
         "benchmarks": {r["cell"]: r for r in records},
     }
+    return records
+
+
+@lru_cache(maxsize=1)
+def route_grid() -> List[Dict]:
+    """Verify every cell under both routes through the facade (fresh
+    managers); adds ``ctr_seconds`` and ``sabre_seconds`` to the suite."""
+    verify_grid()
+    sabre = {cell: compiled for cell, _, compiled in compiled_cells("sabre")[0]}
+    records: List[Dict] = []
+    for cell, _, ctr in compiled_cells("ctr")[0]:
+        if cell not in sabre:
+            continue
+        record: Dict[str, Any] = {"cell": cell}
+        for route, compiled in (("ctr", ctr), ("sabre", sabre[cell])):
+            source = compiled.original.remapped(
+                compiled.placement, num_qubits=compiled.device.num_qubits
+            )
+            started = time.perf_counter()
+            report = verify_equivalent(
+                source, compiled.optimized, method="qmdd", pool=False,
+                output_permutation=compiled.output_permutation,
+            )
+            record[route] = {
+                "gates": len(compiled.optimized),
+                "seconds": round(time.perf_counter() - started, 6),
+                "equivalent": report.equivalent,
+                "method": report.method,
+            }
+        records.append(record)
+    suite = RUNTIME["verify"]
+    for route in ("ctr", "sabre"):
+        suite[f"{route}_seconds"] = round(
+            sum(r[route]["seconds"] for r in records), 4
+        )
+    suite["routes"] = {r["cell"]: r for r in records}
     return records
 
 
@@ -257,3 +298,15 @@ def test_facade_is_not_slower_than_full_width_miter():
     facade_grid()
     facade = RUNTIME["verify"]["facade"]
     assert facade["speedup"] >= 1.0, facade
+
+
+def test_routes_verify_alike_and_sabre_no_slower():
+    """Both routes' outputs verify equivalent by the same method, and
+    the sabre outputs take no longer in total than the CTR ones."""
+    records = route_grid()
+    assert records, "every bench cell was N/A — grid misconfigured"
+    for r in records:
+        assert r["ctr"]["equivalent"] and r["sabre"]["equivalent"], r
+        assert r["ctr"]["method"] == r["sabre"]["method"] == "qmdd", r
+    suite = RUNTIME["verify"]
+    assert suite["sabre_seconds"] <= suite["ctr_seconds"], suite["routes"]

@@ -195,9 +195,18 @@ class CompilationCache:
 
     def put(self, key: Optional[str], result: CompilationResult) -> None:
         """Store ``result`` under ``key`` in every tier (no-op if ``key``
-        is ``None``)."""
+        is ``None``).
+
+        ``trace`` is not part of the key, so a traced result is stored
+        as a copy without its spans: a later hit answers a request that
+        may not have asked for them.  The caller's object is unchanged.
+        """
         if key is None:
             return
+        if result.trace is not None:
+            from dataclasses import replace
+
+            result = replace(result, trace=None)
         with self._lock:
             self.stores += 1
             self._memory_put(key, result)

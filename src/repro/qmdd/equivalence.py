@@ -12,6 +12,13 @@ Two notions of equality are offered:
   requires (its rewrites are all phase-exact).
 * **up to global phase** — same node and root weights of equal magnitude:
   the matrices differ by ``e^(i*theta)``, which is unobservable.
+
+The default check is the miter (:func:`check_equivalence_miter`): one
+running product over ``first.inverse() + second`` that telescopes to the
+identity for an equivalent pair.  SWAPs in the fused stream — a routed
+circuit's wire moves and the tail that undoes its final layout — are
+kept outside the diagram as a wire relabelling, so the product does not
+carry the router's permutation.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from typing import Optional
 
 from ..core.circuit import QuantumCircuit
 from ..core.exceptions import QMDDError
-from .fusion import fuse_stream
+from ..core.gates import Gate
+from .fusion import fuse_stream, reversed_pair
 from .manager import QMDDManager
 from .structure import Edge, count_nodes
 
@@ -40,9 +48,9 @@ class EquivalenceResult:
     #: built and roots compared) or ``"miter"`` (one running product
     #: tested against the identity).
     strategy: str = "two_sided"
-    #: Peak node count of the miter product (sampled during the build;
-    #: 0 for two-sided checks).
-    peak_nodes: int = 0
+    #: SWAPs the miter tracked as a wire relabelling instead of
+    #: multiplying them into its product (0 for two-sided checks).
+    swaps_factored: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -87,11 +95,6 @@ def check_equivalence(
     return compare_edges(manager, edge_a, edge_b, up_to_global_phase)
 
 
-#: Sample the miter product's node count every this many fused blocks
-#: (an exact per-block count would rewalk the diagram after every step).
-_MITER_PEAK_STRIDE = 4
-
-
 def check_equivalence_miter(
     first: QuantumCircuit,
     second: QuantumCircuit,
@@ -105,9 +108,9 @@ def check_equivalence_miter(
 
     Applying the inverted original *first* makes the product telescope:
     after the mapped prefix has reproduced the first j original gates,
-    the product is the remaining original suffix (times the routing
-    permutation), so intermediate diagrams stay near-linear in the
-    circuit width instead of tracking two full circuit DDs.
+    the product is the remaining original suffix, so intermediate
+    diagrams stay near-linear in the circuit width instead of tracking
+    two full circuit DDs.
 
     Because the miter owns the whole stream, it can preprocess it in
     ways a per-circuit canonical build cannot: the stream is fused into
@@ -117,6 +120,18 @@ def check_equivalence_miter(
     replaces ~4-6 per-gate traversals, and blocks that compose to the
     identity (cancellations invisible to the per-circuit peephole, e.g.
     across the miter seam) are skipped outright.
+
+    The routing permutation stays out of the diagram.  The true product
+    is ``Pi . D``: ``D`` is the diagram built here and ``Pi`` a wire
+    permutation kept as ``sigma`` (stream wire -> diagram wire).  Every
+    block is applied on its ``sigma``-relabelled wires (a pair that
+    flips order is re-expressed as ``SWAP . M . SWAP``), and a block
+    fused with its SWAP factored out (``block.swap``) exchanges two
+    entries of ``sigma`` instead of multiplying the SWAP in — so a
+    routed circuit's product telescopes as if it had never been
+    routed.  At the end at most n-1 SWAPs fold what is left of ``Pi``
+    into ``D``.  Every step is a row or column permutation of an exact
+    factorization, so the verdict is the one the plain product gives.
 
     The final comparison is the same pointer test as the two-sided
     build: the product's root must be the identity node with weight 1
@@ -133,25 +148,44 @@ def check_equivalence_miter(
         raise QMDDError("supplied manager is narrower than the circuits")
     width = manager.num_qubits
     gates = list(first.widened(width).inverse()) + list(second.widened(width))
-    blocks = fuse_stream(gates)
     gc_armed = manager.gc_node_limit is not None
     total = manager.identity()
-    peak = 0
-    for index, block in enumerate(blocks):
+    sigma = list(range(width))
+    swaps = 0
+    for block in fuse_stream(gates):
         if block.matrix is None:
-            total = manager.apply_gate(total, block.gate)
+            gate = block.gate
+            total = manager.apply_gate(total, Gate._trusted(
+                gate.name, tuple(sigma[q] for q in gate.qubits), gate.params
+            ))
         elif len(block.qubits) == 1:
-            total = manager.apply_single(total, block.matrix, block.qubits[0])
-        else:
-            total = manager.apply_block(
-                total, block.matrix, block.qubits[0], block.qubits[1]
+            total = manager.apply_single(
+                total, block.matrix, sigma[block.qubits[0]]
             )
+        else:
+            p, q = block.qubits
+            if not (block.swap and block.is_identity):
+                a, b = sigma[p], sigma[q]
+                if a < b:
+                    total = manager.apply_block(total, block.matrix, a, b)
+                else:
+                    total = manager.apply_block(
+                        total, reversed_pair(block.matrix), b, a
+                    )
+            if block.swap:
+                sigma[p], sigma[q] = sigma[q], sigma[p]
+                swaps += 1
         if gc_armed:
             manager.maybe_collect((total,))
-        if index % _MITER_PEAK_STRIDE == 0:
-            peak = max(peak, count_nodes(total))
+    # Fold the leftover permutation in: SWAP(sigma[w], w) on the diagram
+    # puts stream wire w back on diagram wire w.
+    for wire in range(width):
+        held = sigma[wire]
+        if held != wire:
+            total = manager.apply_swap(total, held, wire)
+            sigma[sigma.index(wire)] = held
+            sigma[wire] = wire
     nodes = count_nodes(total)
-    peak = max(peak, nodes)
     identity = manager.identity()
     shared = total.node is identity.node
     tolerance = manager.values.tolerance
@@ -166,7 +200,7 @@ def check_equivalence_miter(
         nodes_second=nodes,
         shared_root=shared,
         strategy="miter",
-        peak_nodes=peak,
+        swaps_factored=swaps,
     )
 
 

@@ -14,6 +14,14 @@ Fusion reorders only across *disjoint* supports: a gate joins a block
 only while that block is still the most recent toucher of every wire
 involved, so any two blocks that share a wire keep their stream order
 and the composed product is exactly the product of the original stream.
+
+Routed circuits are full of SWAPs, whole or merged into their
+neighbours.  A two-wire block ``B`` whose ``SWAP . B`` needs fewer CNOTs
+than ``B`` (Shende, Markov & Bullock's invariant, :func:`_cnot_count`)
+is emitted as ``SWAP . B`` with its ``swap`` flag set, so that
+``B = SWAP . matrix``; the miter applies the matrix and tracks the SWAP
+as a wire relabelling instead of multiplying it into the diagram.  A
+pure SWAP block becomes the identity matrix with the flag set.
 """
 
 from __future__ import annotations
@@ -41,15 +49,20 @@ class FusedBlock:
     index ``2*bit_first + bit_second`` for the pair case) when the block
     was fused; ``gate`` carries the original gate for segments that
     cannot fuse (3+ qubit gates), in which case ``matrix`` is ``None``.
+    When ``swap`` is set the segment's product is ``SWAP . matrix`` on
+    its wire pair.
     """
 
     qubits: Tuple[int, ...]
     matrix: Optional[Tuple[Tuple[complex, ...], ...]]
     gate: Optional[Gate]
     gates_fused: int
+    swap: bool = False
 
     @property
     def is_identity(self) -> bool:
+        """True when ``matrix`` is the identity (a flagged block's
+        product is then the SWAP alone)."""
         if self.matrix is None:
             return False
         dim = len(self.matrix)
@@ -101,10 +114,19 @@ def _gate_1q_in_pair(
     return _frozen(_embed_1q(_gate_1q(name, params), position))
 
 
+#: Basis order of a 4x4 after a SWAP of its wires: the |01> and |10>
+#: rows (or columns) exchange.
+_SWAP_ROWS = (0, 2, 1, 3)
+
+
 def _swap_order(matrix: np.ndarray) -> np.ndarray:
     """Re-express a 4x4 in the opposite wire order (SWAP . M . SWAP)."""
-    order = [0, 2, 1, 3]
-    return matrix[np.ix_(order, order)]
+    return matrix[np.ix_(_SWAP_ROWS, _SWAP_ROWS)]
+
+
+def reversed_pair(matrix: Tuple[Tuple[complex, ...], ...]):
+    """A frozen 4x4 block in the opposite wire order (SWAP . M . SWAP)."""
+    return tuple(tuple(matrix[i][j] for j in _SWAP_ROWS) for i in _SWAP_ROWS)
 
 
 @lru_cache(maxsize=_MATRIX_CACHE)
@@ -114,6 +136,50 @@ def _gate_2q(name: str, params: Tuple[float, ...], ordered: bool) -> np.ndarray:
     (``gate_matrix`` is in listed order: a CNOT's control first)."""
     matrix = np.asarray(gate_matrix(name, 2, params or None), dtype=complex)
     return _frozen(matrix if ordered else _swap_order(matrix))
+
+
+#: Exact entries of sigma_y (x) sigma_y, the "magic" conjugation of the
+#: CNOT-count invariant.
+_YY = np.array(
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+)
+#: Tolerance of the CNOT-count classification.  A misjudged count only
+#: costs speed: the block is emitted exactly either way.
+_COUNT_ATOL = 1e-8
+
+
+def _cnot_count(u: np.ndarray) -> int:
+    """Fewest CNOTs any circuit for the 4x4 unitary ``u`` needs.
+
+    Shende, Markov & Bullock (PRA 69, 062321): with ``u`` scaled into
+    SU(4) and gamma = u YY u^T YY, the count is 0 iff gamma = +-I, 1 iff
+    trace(gamma) = 0 and gamma^2 = -I, 2 iff trace(gamma) is real, else 3.
+    """
+    u = u / np.linalg.det(u) ** 0.25
+    gamma = u @ _YY @ u.T @ _YY
+    identity = np.eye(4)
+    if np.allclose(gamma, identity, atol=_COUNT_ATOL) or np.allclose(
+        gamma, -identity, atol=_COUNT_ATOL
+    ):
+        return 0
+    trace = np.trace(gamma)
+    if abs(trace) <= _COUNT_ATOL and np.allclose(
+        gamma @ gamma, -identity, atol=_COUNT_ATOL
+    ):
+        return 1
+    return 2 if abs(trace.imag) <= _COUNT_ATOL else 3
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _swap_is_cheaper(matrix: Tuple[Tuple[complex, ...], ...]) -> bool:
+    """Whether ``SWAP . matrix`` needs fewer CNOTs than ``matrix``.
+
+    Memoised on the frozen block: a compiled stream has thousands of
+    two-wire blocks but a few hundred distinct matrices, and the numpy
+    test costs far more than the lookup.
+    """
+    u = np.array(matrix, dtype=complex)
+    return _cnot_count(u[list(_SWAP_ROWS)]) < _cnot_count(u)
 
 
 class _OpenBlock:
@@ -156,6 +222,15 @@ class _OpenBlock:
         )
 
 
+def _factor_swap(block: FusedBlock) -> None:
+    """Rewrite a two-wire ``block`` as ``SWAP . (SWAP . B)`` with the
+    outer SWAP as its flag when that lowers the CNOT count: a pure row
+    permutation, so the product is unchanged to the last bit."""
+    if _swap_is_cheaper(block.matrix):
+        block.matrix = tuple(block.matrix[row] for row in _SWAP_ROWS)
+        block.swap = True
+
+
 def fuse_stream(gates: Sequence[Gate], drop_identity: bool = True) -> List[FusedBlock]:
     """Fuse a gate stream into maximal <=2-wire blocks.
 
@@ -169,7 +244,9 @@ def fuse_stream(gates: Sequence[Gate], drop_identity: bool = True) -> List[Fused
     Blocks whose composed matrix is the identity are dropped when
     ``drop_identity`` (their application would be a no-op, e.g. a
     cancelling CNOT pair the peephole optimizer could not see across
-    the miter seam).
+    the miter seam).  Two-wire blocks that are cheaper with a SWAP
+    factored out carry it as their ``swap`` flag (see the module
+    docstring); a pure SWAP block is kept as a flagged identity.
     """
     blocks: List[Optional[_OpenBlock]] = []
     big_gates = {}  # block index -> FusedBlock for 3+ qubit gates
@@ -226,7 +303,10 @@ def fuse_stream(gates: Sequence[Gate], drop_identity: bool = True) -> List[Fused
             result.append(big_gates[index])
             continue
         fused = block.freeze()
-        if drop_identity and fused.is_identity:
-            continue
+        if fused.is_identity:
+            if drop_identity:
+                continue
+        elif len(fused.qubits) == 2:
+            _factor_swap(fused)
         result.append(fused)
     return result

@@ -33,6 +33,13 @@ The qmdd method runs one of two strategies (see
   normalization paths, so they double-check each other near tolerance
   boundaries).
 
+A mapped circuit routed with a moving layout (``route="sabre"``) ends
+on permuted wires; the facade appends the SWAP tail that undoes the
+declared permutation.  The miter factors SWAPs out of its fused stream
+and tracks them as a wire relabelling, so neither the router's SWAPs nor
+that tail grow its product: a sabre output verifies like an unrouted
+one.
+
 Either strategy runs on the wires the two circuits touch, relabelled in
 physical order: an idle wire is an identity factor on both sides, and
 dropping it saves rebuilding a node on that level for every gate below
@@ -143,7 +150,8 @@ def verify_equivalent(
     permutation into ``mapped`` (as a wire-space SWAP tail), so every
     path — miter, two-sided, prescreen, dense, sampled, subspace — sees
     both circuits in the same wire basis and ``known_zero`` facts keep
-    their input-wire meaning."""
+    their input-wire meaning.  The miter absorbs that tail as a wire
+    relabelling at no diagram cost."""
     if strategy not in VERIFY_STRATEGIES:
         raise VerificationError(
             f"unknown verification strategy {strategy!r} "
@@ -253,14 +261,13 @@ def _verify(
         # engine can ship them back to the coordinator.
         manager.record_metrics(metrics)
         equivalent = result.equivalent
-        peak = getattr(result, "peak_nodes", 0)
-        if peak:
-            metrics.gauge_max("verify.miter_peak_nodes", peak)
         detail = (
             f"strategy={strategy} wires={compact}/{width} "
             f"nodes={result.nodes_first}/{result.nodes_second} "
             f"shared_root={result.shared_root}"
         )
+        if strategy == "miter":
+            detail += f" swaps_factored={result.swaps_factored}"
         if not equivalent and strategy == "miter":
             # The miter and the two-sided build take different float
             # normalization paths; a miter NO near a tolerance boundary

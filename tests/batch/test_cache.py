@@ -191,6 +191,17 @@ class TestMemoryTier:
         assert key in cache
         assert len(cache) == 1
 
+    def test_traced_job_does_not_leak_its_trace_to_a_later_hit(self):
+        cache = CompilationCache()
+        traced = CompileJob.make(bell(), "ibmqx4", dict(OPTIONS, trace=True))
+        plain = CompileJob.make(bell(), "ibmqx4", OPTIONS)
+        assert traced.cache_key() == plain.cache_key()  # trace is unkeyed
+        (first,) = compile_many([traced], workers=1, cache=cache)
+        (second,) = compile_many([plain], workers=1, cache=cache)
+        assert first.result.trace and first.result.trace["spans"]
+        assert second.from_cache
+        assert second.result.trace is None
+
     def test_none_key_is_never_stored(self):
         cache = CompilationCache()
         cache.put(None, object())

@@ -17,7 +17,8 @@ from tests.conftest import random_circuit
 
 
 def _apply_blocks(manager, blocks):
-    """Apply fused blocks the way the miter does."""
+    """Apply fused blocks in place, multiplying each factored-out SWAP
+    back in (the miter tracks it as a relabelling instead)."""
     total = manager.identity()
     for block in blocks:
         if block.matrix is None:
@@ -28,6 +29,8 @@ def _apply_blocks(manager, blocks):
             total = manager.apply_block(
                 total, block.matrix, block.qubits[0], block.qubits[1]
             )
+            if block.swap:
+                total = manager.apply_swap(total, *block.qubits)
     return total
 
 
@@ -178,6 +181,9 @@ class TestFusedMatrices:
                 local = QuantumCircuit(num_qubits, [block.gate]).unitary()
             else:
                 local = _embed(block.matrix, block.qubits, num_qubits)
+                if block.swap:
+                    swap = QuantumCircuit(num_qubits, [SWAP(*block.qubits)])
+                    local = swap.unitary() @ local
             total = local @ total
         assert np.max(np.abs(total - reference)) <= 1e-12
 
@@ -214,3 +220,44 @@ class TestFusedMatrices:
 
         with pytest.raises(ValueError):
             _gate_1q("H", ())[0, 0] = 0
+
+
+class TestSwapFactoring:
+    @pytest.mark.parametrize("gates, count", [
+        ([], 0),
+        ([H(0), X(1)], 0),
+        ([CNOT(0, 1)], 1),
+        ([CZ(0, 1), H(1)], 1),
+        ([CNOT(0, 1), CNOT(1, 0)], 2),
+        ([SWAP(0, 1)], 3),
+    ])
+    def test_cnot_count_invariant(self, gates, count):
+        from repro.qmdd.fusion import _cnot_count
+
+        u = QuantumCircuit(2, gates).unitary() if gates else np.eye(4)
+        assert _cnot_count(np.asarray(u, dtype=complex)) == count
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generic_unitary_needs_three_cnots(self, seed):
+        from repro.qmdd.fusion import _cnot_count
+
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, _ = np.linalg.qr(z)
+        assert _cnot_count(u) == 3
+
+    @pytest.mark.parametrize("stream, flagged", [
+        ([SWAP(0, 1)], True),
+        ([H(0), SWAP(0, 1), Gate("T", (1,))], True),
+        ([CNOT(0, 1), CNOT(1, 0)], True),
+        ([CNOT(0, 1)], False),
+        ([CNOT(0, 1), H(0), CNOT(0, 1)], False),
+    ])
+    def test_swap_flag_only_when_cheaper(self, stream, flagged):
+        (block,) = fuse_stream(stream)
+        assert block.swap is flagged
+        _assert_stream_preserved(stream, 2)
+
+    def test_pure_swap_is_a_kept_flagged_identity(self):
+        (block,) = fuse_stream([CNOT(0, 1), CNOT(1, 0), CNOT(0, 1)])
+        assert block.swap and block.is_identity

@@ -79,6 +79,21 @@ class TestCompileRequest:
         assert warm["from_cache"]
         assert "no trace recorded" in warm["profile_note"]
 
+    def test_plain_hit_after_a_profiled_compile_has_no_trace(self, service):
+        profiled = service.compile_request(_payload(), profile=True)
+        assert profiled["result"]["trace"]["spans"]
+        plain = service.compile_request(_payload())
+        assert plain["from_cache"]
+        fresh = CompileService(ServeConfig(workers=1))
+        try:
+            reference = fresh.compile_request(_payload())
+        finally:
+            fresh.drain()
+        assert not reference["from_cache"]
+        for payload in (plain["result"], reference["result"]):
+            payload.pop("synthesis_seconds")
+        assert plain["result"] == reference["result"]
+
     def test_result_payload_round_trips_to_identical_qasm(self, service):
         from repro import compile_circuit, get_device
         from repro.batch.serialize import result_from_payload

@@ -98,6 +98,7 @@ class TestQmddFalseNegativeRecheck:
             nodes_first = 1
             nodes_second = 1
             shared_root = False
+            swaps_factored = 0
 
         monkeypatch.setattr(eq, "qmdd_check", lambda *a, **k: FakeResult())
 

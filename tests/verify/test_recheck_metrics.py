@@ -68,13 +68,3 @@ class TestTrueNegative:
         assert counters("verify.recheck.qmdd_checks") == 0
         assert counters("verify.recheck.dense_checks") == 1
 
-
-class TestMiterPeakGauge:
-    def test_miter_peak_nodes_gauge_recorded(self):
-        from tests.conftest import random_circuit
-
-        registry = get_metrics()
-        circuit = random_circuit(4, 40, seed=5)
-        verify_equivalent(circuit, circuit.copy(), method="qmdd",
-                          strategy="miter")
-        assert registry.get_gauge("verify.miter_peak_nodes") > 0
