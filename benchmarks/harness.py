@@ -15,7 +15,7 @@ Grids are compiled through the batch engine (:mod:`repro.batch`):
   adds a persistent on-disk tier (e.g. ``.repro_cache``) that makes the
   *next* run start warm.
 * Every suite's wall-clock, per-cell triples, and cache hit rates are
-  recorded and written to ``BENCH_runtime.json`` at session end (see
+  recorded and merged into ``BENCH_runtime.json`` at session end (see
   :func:`write_runtime_json`), giving future PRs a perf trajectory.
 """
 
@@ -190,11 +190,25 @@ def table8_results():
 
 
 def write_runtime_json(path: Optional[str] = None) -> Optional[str]:
-    """Dump the session's perf record; returns the path (None if no suite
-    ran).  Called automatically at pytest session end (see conftest)."""
+    """Merge the session's suites into the perf record; returns the path
+    (None if no suite ran).  Called automatically at pytest session end
+    (see conftest).
+
+    Suites recorded by earlier sessions stay; a suite this session ran
+    replaces its old record.  The top-level fields describe this session.
+    """
     if not RUNTIME:
         return None
     path = path or RUNTIME_JSON_PATH
+    suites: Dict[str, Dict] = {}
+    try:
+        with open(path) as handle:
+            previous = json.load(handle).get("suites")
+        if isinstance(previous, dict):
+            suites.update(previous)
+    except (OSError, ValueError, AttributeError):
+        pass  # no readable record yet: start a fresh one
+    suites.update(RUNTIME)
     # Schema 3: adds the "verify" suite (bench_verify.py) — per-cell
     # two-sided vs miter wall times, peak unique-table nodes, and the
     # overall speedup; its shape differs from the compile-grid suites
@@ -209,7 +223,7 @@ def write_runtime_json(path: Optional[str] = None) -> Optional[str]:
         "workers": WORKERS,
         "verify": VERIFY,
         "cache": CACHE.stats(),
-        "suites": RUNTIME,
+        "suites": suites,
     }
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

@@ -335,6 +335,7 @@ def compile_circuit(
                         rounds=opt_report.rounds,
                         cost_before=opt_report.initial_cost,
                         cost_after=opt_report.final_cost,
+                        stopped=opt_report.stopped,
                     )
         else:
             optimized = unoptimized

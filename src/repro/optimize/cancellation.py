@@ -15,22 +15,20 @@ consulted by every backward walk are memoized at the gate layer (see
 ``repro.core.gates._commute_verdict``), so repeated sweeps over the same
 cascade neighborhoods cost dictionary lookups, not re-derivation.  The
 walk itself is bounded by a lookback window (:data:`LOOKBACK_WINDOW` by
-default, overridable per call and via
-:class:`~repro.optimize.local.LocalOptimizer`) which keeps a sweep
-near-linear even on pathological all-commuting cascades.
+default, overridable per call) which keeps a sweep near-linear even on
+pathological all-commuting cascades.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate, _commute_verdict, _inverse_verdict
 
 #: Default maximum number of gates a cancellation walk may commute
 #: through; keeps a sweep near-linear on pathological all-commuting
-#: cascades.  Override per call via the ``lookback`` argument or per
-#: optimizer via ``LocalOptimizer(lookback_window=...)``.
+#: cascades.  Override per call via the ``lookback`` argument.
 LOOKBACK_WINDOW = 128
 
 
@@ -108,11 +106,19 @@ def remove_identities(
     circuit: QuantumCircuit, lookback: Optional[int] = None
 ) -> QuantumCircuit:
     """Cancel inverse pairs to fixpoint; returns a new circuit."""
-    gates: List[Gate] = list(circuit)
+    gates, _ = cancel_to_fixpoint(list(circuit), lookback)
+    return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
+
+
+def cancel_to_fixpoint(
+    gates: List[Gate], lookback: Optional[int] = None
+) -> Tuple[List[Gate], bool]:
+    """:func:`remove_identities` on a gate list; also reports whether the
+    list changed.  A sweep only drops gates, so an unchanged length means
+    an unchanged list."""
+    start = len(gates)
     while True:
         reduced = cancel_inverse_pairs(gates, lookback)
         if len(reduced) == len(gates):
-            return QuantumCircuit._trusted(
-                circuit.num_qubits, reduced, name=circuit.name
-            )
+            return reduced, len(reduced) != start
         gates = reduced

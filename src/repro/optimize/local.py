@@ -18,26 +18,38 @@ custom cost function), the previous circuit is returned instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.cost import CostFunction, TRANSMON_COST
+from ..core.gates import Gate
 from ..devices.coupling import CouplingMap
 from ..obs import NULL_TRACER, get_metrics
-from .cancellation import remove_identities
+from .cancellation import cancel_to_fixpoint, remove_identities
 from .dataflow import ConstantPropagationStats, propagate_constants
-from .merging import merge_phases
-from .templates import apply_templates
+from .merging import merge_to_fixpoint
+from .templates import template_sweep
+
+
+#: Pass names for the driver's fixpoint bookkeeping.
+_CANCEL, _MERGE, _TEMPLATES = "cancel", "merge", "templates"
 
 
 @dataclass
 class OptimizationReport:
-    """Per-round cost trace of one optimization run."""
+    """Per-round cost trace of one optimization run.
+
+    ``stopped`` says why the round loop ended: ``"fixpoint"`` (the last
+    accepted circuit is a fixpoint of every pass, so another round could
+    only return it unchanged), ``"rejected"`` (a round did not lower the
+    cost) or ``"max_rounds"``.
+    """
 
     initial_cost: float
     final_cost: float
     rounds: int
     cost_trace: List[float] = field(default_factory=list)
+    stopped: str = "max_rounds"
 
     @property
     def percent_decrease(self) -> float:
@@ -56,7 +68,6 @@ class LocalOptimizer:
         max_rounds: int = 50,
         enable_templates: bool = True,
         gate_set=None,
-        lookback_window: Optional[int] = None,
         tracer=None,
         known_zero=(),
         known_one=(),
@@ -73,9 +84,6 @@ class LocalOptimizer:
         #: caller must verify with the same ``known_zero``.
         self.known_zero = frozenset(known_zero)
         self.known_one = frozenset(known_one)
-        #: Commutation-walk bound for cancellation sweeps; ``None`` uses
-        #: :data:`repro.optimize.cancellation.LOOKBACK_WINDOW`.
-        self.lookback_window = lookback_window
         #: Optional :class:`repro.obs.Tracer`; when set, every fixpoint
         #: iteration records an ``optimize.round`` span carrying the
         #: round's cost and gate-count deltas.
@@ -85,34 +93,69 @@ class LocalOptimizer:
         #: (``None`` when no input facts were supplied).
         self.last_dataflow: Optional[ConstantPropagationStats] = None
 
+    def _round(
+        self, circuit: QuantumCircuit, clean: FrozenSet[str]
+    ) -> Tuple[QuantumCircuit, FrozenSet[str]]:
+        """One round of the passes over ``circuit``.
+
+        ``clean`` names the passes ``circuit`` is already a fixpoint of;
+        the round returns its candidate with the same bookkeeping.  A
+        pass that changes the gates clears it; cancellation and merging
+        run to their own fixpoint and then mark themselves, while one
+        template sweep is a fixpoint only if it rewrote nothing.
+        """
+        passes = [] if _CANCEL in clean else [_CANCEL]
+        passes.append(_MERGE)
+        if self.enable_templates:
+            # Templates can expose fresh inverse pairs; clean them now so
+            # the cost comparison sees the full benefit.
+            passes += [_TEMPLATES, _CANCEL]
+        fixed = set(clean)
+        gates: List[Gate] = list(circuit)
+        for name in passes:
+            if name == _CANCEL:
+                gates, changed = cancel_to_fixpoint(gates)
+            elif name == _MERGE:
+                gates, changed = merge_to_fixpoint(gates, self.gate_set)
+            else:
+                gates, changed = template_sweep(
+                    gates, self.coupling_map, gate_set=self.gate_set
+                )
+            if changed:
+                fixed.clear()
+            if not changed or name != _TEMPLATES:
+                fixed.add(name)
+        candidate = QuantumCircuit._trusted(
+            circuit.num_qubits, gates, name=circuit.name
+        )
+        return candidate, frozenset(fixed)
+
     def run(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        """Optimize ``circuit`` until the cost function stops decreasing."""
+        """Optimize ``circuit`` until the cost function stops decreasing.
+
+        The loop also stops, without a confirming round, once the best
+        circuit is a fixpoint of every enabled pass: the next round
+        would return it unchanged at equal cost and be rejected.
+        """
         t = self.tracer if self.tracer is not None else NULL_TRACER
         facts = bool(self.known_zero or self.known_one)
         self.last_dataflow = (
             ConstantPropagationStats(self.known_zero, self.known_one)
             if facts else None
         )
+        enabled = {_CANCEL, _MERGE}
+        if self.enable_templates:
+            enabled.add(_TEMPLATES)
         best = circuit
         best_cost = self.cost_function(best)
+        clean: FrozenSet[str] = frozenset()
         trace = [best_cost]
         rounds = 0
+        stopped = "max_rounds"
         while rounds < self.max_rounds:
             rounds += 1
             with t.span("optimize.round", round=rounds) as span:
-                candidate = remove_identities(best, self.lookback_window)
-                candidate = merge_phases(candidate, self.gate_set)
-                if self.enable_templates:
-                    candidate = apply_templates(
-                        candidate, self.coupling_map,
-                        gate_set=self.gate_set,
-                    )
-                    # Templates can expose fresh inverse pairs; clean
-                    # them now so the cost comparison sees the full
-                    # benefit.
-                    candidate = remove_identities(
-                        candidate, self.lookback_window
-                    )
+                candidate, fixed = self._round(best, clean)
                 cost = self.cost_function(candidate)
                 trace.append(cost)
                 span.set(
@@ -122,9 +165,12 @@ class LocalOptimizer:
                     gates_after=len(candidate),
                     accepted=cost < best_cost,
                 )
-            if cost < best_cost:
-                best, best_cost = candidate, cost
-            else:
+            if cost >= best_cost:
+                stopped = "rejected"
+                break
+            best, best_cost, clean = candidate, cost, fixed
+            if clean >= enabled:
+                stopped = "fixpoint"
                 break
         # Dataflow constant propagation after the fixpoint: on the raw
         # mapping the facts are usually blocked by basis-changing
@@ -149,7 +195,7 @@ class LocalOptimizer:
             self.last_dataflow.merge(stats)
             if not stats.changed:
                 break
-            rewritten = remove_identities(rewritten, self.lookback_window)
+            rewritten = remove_identities(rewritten)
             cost = self.cost_function(rewritten)
             if cost > best_cost:
                 break
@@ -160,6 +206,7 @@ class LocalOptimizer:
             final_cost=best_cost,
             rounds=rounds,
             cost_trace=trace,
+            stopped=stopped,
         )
         metrics = get_metrics()
         metrics.inc("optimizer.runs")

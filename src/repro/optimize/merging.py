@@ -14,7 +14,7 @@ All merges are phase-exact, so they preserve equivalence in the strict
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
@@ -33,7 +33,9 @@ def merge_phase_runs(gates: Sequence[Gate], gate_set=None) -> List[Gate]:
     emit one RZ.
     """
     kept: List[Gate] = []
-    pending: dict = {}  # qubit -> accumulated exponent (units of pi/4)
+    # qubit -> accumulated exponent (units of pi/4), in the order the
+    # qubits became pending.
+    pending: dict = {}
 
     def flush(qubit: int) -> None:
         exponent = pending.pop(qubit, 0.0)
@@ -44,9 +46,15 @@ def merge_phase_runs(gates: Sequence[Gate], gate_set=None) -> List[Gate]:
             qubit = gate.qubits[0]
             pending[qubit] = (pending.get(qubit, 0.0) + gate_exponent(gate)) % 8.0
             continue
-        for qubit in list(pending):
-            if qubit in gate.qubits and not _z_commutes_through(gate, qubit):
-                flush(qubit)
+        due = [
+            qubit for qubit in gate.qubits
+            if qubit in pending and not _z_commutes_through(gate, qubit)
+        ]
+        if len(due) > 1:
+            # Flush in the order the qubits became pending.
+            due = [qubit for qubit in pending if qubit in due]
+        for qubit in due:
+            flush(qubit)
         kept.append(gate)
     for qubit in sorted(pending):
         flush(qubit)
@@ -67,11 +75,19 @@ def merge_phases(circuit: QuantumCircuit, gate_set=None) -> QuantumCircuit:
 
     ``gate_set`` restricts the emitted gates (see
     :func:`repro.optimize.phase.emit_phase`)."""
-    gates: List[Gate] = list(circuit)
+    gates, _ = merge_to_fixpoint(list(circuit), gate_set)
+    return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
+
+
+def merge_to_fixpoint(
+    gates: List[Gate], gate_set=None
+) -> Tuple[List[Gate], bool]:
+    """:func:`merge_phases` on a gate list; also reports whether the list
+    changed (the fixpoint loop ran more than one sweep)."""
+    sweeps = 0
     while True:
         merged = merge_phase_runs(gates, gate_set)
+        sweeps += 1
         if merged == gates:
-            return QuantumCircuit._trusted(
-                circuit.num_qubits, merged, name=circuit.name
-            )
+            return merged, sweeps > 1
         gates = merged

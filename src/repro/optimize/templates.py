@@ -20,18 +20,14 @@ a rewrite is kept only if the technology cost function decreases.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import CNOT, Gate, H, X, Z
 from ..devices.coupling import CouplingMap
-
-#: A rule takes (gates, index, coupling_map) and, if its pattern starts at
-#: ``index``, returns (indices_consumed, replacement_gates).
-Rule = Callable[
-    [Sequence[Gate], int, Optional[CouplingMap]],
-    Optional[Tuple[List[int], List[Gate]]],
-]
 
 
 #: How far ahead a rule may look for the next gate on a qubit.  Bounds a
@@ -40,37 +36,83 @@ Rule = Callable[
 LOOKAHEAD_WINDOW = 64
 
 
-def _next_on_qubits(gates: Sequence[Gate], start: int, qubits: set) -> Optional[int]:
-    """Index of the first gate after ``start`` touching any of ``qubits``
-    (searching at most :data:`LOOKAHEAD_WINDOW` gates ahead)."""
-    limit = min(len(gates), start + 1 + LOOKAHEAD_WINDOW)
-    for j in range(start + 1, limit):
-        if not qubits.isdisjoint(gates[j].support):
-            return j
-    return None
+class WireTimeline:
+    """A gate list indexed by wire: the neighbour lookups rules match with.
+
+    For every wire the timeline keeps the ascending list positions of the
+    gates acting on it, so the next (or previous) gate on a set of wires
+    is one binary search per wire instead of a scan of the cascade.
+    Lookups honour :data:`LOOKAHEAD_WINDOW` in list positions: a gate
+    more than the window away is not a neighbour.
+    """
+
+    __slots__ = ("gates", "_wires")
+
+    def __init__(self, gates: Sequence[Gate]):
+        self.gates = gates
+        wires: dict = defaultdict(lambda: array("l"))
+        for position, gate in enumerate(gates):
+            for qubit in gate.qubits:
+                wires[qubit].append(position)
+        self._wires = wires
+
+    def next_on(self, start: int, qubits: Iterable[int]) -> Optional[int]:
+        """Position of the first gate after ``start`` touching any of
+        ``qubits`` (at most :data:`LOOKAHEAD_WINDOW` positions ahead)."""
+        found = start + LOOKAHEAD_WINDOW + 1
+        for qubit in qubits:
+            row = self._wires.get(qubit)
+            if row is None:
+                continue
+            slot = bisect_right(row, start)
+            if slot < len(row) and row[slot] < found:
+                found = row[slot]
+        return found if found <= start + LOOKAHEAD_WINDOW else None
+
+    def prev_on(self, start: int, qubits: Iterable[int]) -> Optional[int]:
+        """Position of the last gate before ``start`` touching any of
+        ``qubits`` (at most :data:`LOOKAHEAD_WINDOW` positions back)."""
+        found = start - LOOKAHEAD_WINDOW - 1
+        for qubit in qubits:
+            row = self._wires.get(qubit)
+            if row is None:
+                continue
+            slot = bisect_left(row, start) - 1
+            if slot >= 0 and row[slot] > found:
+                found = row[slot]
+        return found if found >= start - LOOKAHEAD_WINDOW else None
+
+    def chain(
+        self, start: int, qubits: Iterable[int], length: int
+    ) -> Optional[List[int]]:
+        """Positions of the next ``length`` consecutive gates on
+        ``qubits``, starting at ``start`` (which must itself touch them)."""
+        indices = [start]
+        while len(indices) < length:
+            nxt = self.next_on(indices[-1], qubits)
+            if nxt is None:
+                return None
+            indices.append(nxt)
+        return indices
 
 
-def _chain_on_qubits(
-    gates: Sequence[Gate], start: int, qubits: set, length: int
-) -> Optional[List[int]]:
-    """Indices of the next ``length`` consecutive gates on ``qubits``
-    starting at ``start`` (which must itself touch them)."""
-    indices = [start]
-    while len(indices) < length:
-        nxt = _next_on_qubits(gates, indices[-1], qubits)
-        if nxt is None:
-            return None
-        indices.append(nxt)
-    return indices
+#: A rule takes (timeline, index, coupling_map) and, if its pattern starts
+#: at ``timeline.gates[index]``, returns (indices_consumed,
+#: replacement_gates).
+Rule = Callable[
+    [WireTimeline, int, Optional[CouplingMap]],
+    Optional[Tuple[List[int], List[Gate]]],
+]
 
 
-def rule_hadamard_conjugation(gates, index, coupling_map=None):
+def rule_hadamard_conjugation(line, index, coupling_map=None):
     """``H P H -> conjugate(P)`` on one qubit, for P in {X, Z}."""
+    gates = line.gates
     first = gates[index]
     if first.name != "H":
         return None
     qubit = first.qubits[0]
-    chain = _chain_on_qubits(gates, index, {qubit}, 3)
+    chain = line.chain(index, first.qubits, 3)
     if chain is None:
         return None
     middle, last = gates[chain[1]], gates[chain[2]]
@@ -85,17 +127,7 @@ def rule_hadamard_conjugation(gates, index, coupling_map=None):
     return None
 
 
-def _prev_on_qubits(gates: Sequence[Gate], start: int, qubits: set) -> Optional[int]:
-    """Index of the last gate before ``start`` touching any of ``qubits``
-    (searching at most :data:`LOOKAHEAD_WINDOW` gates back)."""
-    floor = max(-1, start - 1 - LOOKAHEAD_WINDOW)
-    for j in range(start - 1, floor, -1):
-        if not qubits.isdisjoint(gates[j].support):
-            return j
-    return None
-
-
-def rule_cnot_unreversal(gates, index, coupling_map=None):
+def rule_cnot_unreversal(line, index, coupling_map=None):
     """Collapse the 5-gate Fig. 6 reversal back to one CNOT when legal.
 
     Pattern: an H on each operand immediately before and after a CNOT
@@ -103,11 +135,12 @@ def rule_cnot_unreversal(gates, index, coupling_map=None):
     On a restricted device the rewrite fires only if the coupling map
     allows the new orientation.
     """
+    gates = line.gates
     anchor = gates[index]
     if anchor.name != "H":
         return None
     a = anchor.qubits[0]
-    cnot_at = _next_on_qubits(gates, index, {a})
+    cnot_at = line.next_on(index, (a,))
     if cnot_at is None:
         return None
     cnot = gates[cnot_at]
@@ -115,12 +148,12 @@ def rule_cnot_unreversal(gates, index, coupling_map=None):
         return None
     b = cnot.qubits[0] if cnot.qubits[1] == a else cnot.qubits[1]
     # H on the partner qubit immediately before the CNOT.
-    before_b = _prev_on_qubits(gates, cnot_at, {b})
+    before_b = line.prev_on(cnot_at, (b,))
     if before_b is None or gates[before_b] != H(b):
         return None
     # H on both qubits immediately after the CNOT.
-    after_a = _next_on_qubits(gates, cnot_at, {a})
-    after_b = _next_on_qubits(gates, cnot_at, {b})
+    after_a = line.next_on(cnot_at, (a,))
+    after_b = line.next_on(cnot_at, (b,))
     if after_a is None or after_b is None or after_a == after_b:
         return None
     if gates[after_a] != H(a) or gates[after_b] != H(b):
@@ -133,13 +166,14 @@ def rule_cnot_unreversal(gates, index, coupling_map=None):
     return consumed, [CNOT(new_control, new_target)]
 
 
-def rule_cnot_x_propagation(gates, index, coupling_map=None):
+def rule_cnot_x_propagation(line, index, coupling_map=None):
     """``CNOT(a,b) X(a) CNOT(a,b) -> X(a) X(b)`` (and the Z dual on b)."""
+    gates = line.gates
     first = gates[index]
     if first.name != "CNOT":
         return None
     a, b = first.qubits
-    chain = _chain_on_qubits(gates, index, {a, b}, 3)
+    chain = line.chain(index, first.qubits, 3)
     if chain is None:
         return None
     middle, last = gates[chain[1]], gates[chain[2]]
@@ -170,12 +204,25 @@ def apply_templates(
 
     Matches are applied greedily; the driver iterates sweeps to fixpoint.
     """
-    gates: List[Gate] = list(circuit)
+    gates, _ = template_sweep(list(circuit), coupling_map, rules, gate_set)
+    return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
+
+
+def template_sweep(
+    gates: List[Gate],
+    coupling_map: Optional[CouplingMap] = None,
+    rules: Sequence[Rule] = DEFAULT_RULES,
+    gate_set=None,
+) -> Tuple[List[Gate], bool]:
+    """:func:`apply_templates` on a gate list; also reports whether a
+    rewrite was applied (if not, the list is a fixpoint of the sweep)."""
+    line = WireTimeline(gates)
+    rewritten = False
     index = 0
     while index < len(gates):
         matched = None
         for rule in rules:
-            matched = rule(gates, index, coupling_map)
+            matched = rule(line, index, coupling_map)
             if matched is not None:
                 break
         if matched is not None and gate_set is not None:
@@ -197,7 +244,9 @@ def apply_templates(
                 continue
             rebuilt.append(gate)
         gates = rebuilt
+        line = WireTimeline(gates)
+        rewritten = True
         # Resume slightly earlier: the rewrite may enable a new match that
         # starts just before the replaced partition.
         index = max(0, min(consumed) - LOOKAHEAD_WINDOW)
-    return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
+    return gates, rewritten

@@ -43,8 +43,16 @@ def test_optimizer_rounds_carry_cost_deltas():
     assert first["round"] == 1
     assert first["cost_before"] >= first["cost_after"]
     assert "gates_before" in first and "accepted" in first
-    # The final fixpoint round converges (no further improvement).
-    assert rounds[-1]["accepted"] is False or len(rounds) == 1
+    # The loop converged, and its last round says how: every earlier
+    # round was accepted, and the last one is accepted exactly when the
+    # loop stopped on a proven fixpoint (no confirming round follows).
+    (root,) = result.trace["spans"]
+    optimize = next(c for c in root["children"] if c["name"] == "optimize")
+    stopped = optimize["attrs"]["stopped"]
+    assert stopped in ("fixpoint", "rejected")
+    assert optimize["attrs"]["rounds"] == len(rounds)
+    assert all(r["accepted"] for r in rounds[:-1])
+    assert rounds[-1]["accepted"] is (stopped == "fixpoint")
 
 
 def test_stage_rows_cover_whole_compile():

@@ -8,6 +8,7 @@ from repro.core import (
     CostFunction,
     H,
     QuantumCircuit,
+    Sdg,
     T,
     TOFFOLI,
     TRANSMON_COST,
@@ -77,6 +78,41 @@ class TestCostGuard:
         c = QuantumCircuit(1, [H(0), H(0)])
         optimizer.run(c)
         assert optimizer.last_report.rounds <= 1
+
+
+class TestStopping:
+    def test_fixpoint_needs_no_confirming_round(self):
+        # One round cancels H H and leaves a fixpoint of every pass.
+        optimizer = LocalOptimizer()
+        out = optimizer.run(QuantumCircuit(1, [H(0), H(0), T(0)]))
+        assert out.gates == (T(0),)
+        assert optimizer.last_report.stopped == "fixpoint"
+        assert optimizer.last_report.rounds == 1
+
+    def test_round_without_gain_is_rejected(self):
+        optimizer = LocalOptimizer()
+        optimizer.run(QuantumCircuit(2, [H(0), CNOT(0, 1)]))
+        assert optimizer.last_report.stopped == "rejected"
+        assert optimizer.last_report.rounds == 1
+
+    def test_merge_reopens_cancellation(self):
+        # T T S† merges away, leaving H H for the next round to cancel.
+        optimizer = LocalOptimizer(enable_templates=False)
+        out = optimizer.run(QuantumCircuit(1, [H(0), T(0), T(0), Sdg(0), H(0)]))
+        assert len(out) == 0
+        assert optimizer.last_report.stopped == "fixpoint"
+        assert optimizer.last_report.rounds == 2
+
+    def test_template_rewrite_is_confirmed_by_another_round(self):
+        # H X H -> Z is one template sweep, not a proven fixpoint of it.
+        optimizer = LocalOptimizer()
+        out = optimizer.run(QuantumCircuit(1, [H(0), X(0), H(0)]))
+        assert out.count("Z") == 1
+        assert optimizer.last_report.stopped == "rejected"
+        assert optimizer.last_report.rounds == 2
+        capped = LocalOptimizer(max_rounds=1)
+        assert capped.run(QuantumCircuit(1, [H(0), X(0), H(0)])) == out
+        assert capped.last_report.stopped == "max_rounds"
 
 
 class TestMappedCircuits:

@@ -10,7 +10,7 @@ cascade sweeps in near-linear time instead of quadratic).
 import time
 
 from repro import CNOT, H, QuantumCircuit, T
-from repro.optimize import LocalOptimizer, cancel_inverse_pairs, remove_identities
+from repro.optimize import cancel_inverse_pairs, remove_identities
 from repro.optimize.cancellation import LOOKBACK_WINDOW
 
 
@@ -64,16 +64,6 @@ class TestWindowSemantics:
         circuit = QuantumCircuit(4, separated_pair())
         assert len(remove_identities(circuit, lookback=1)) == 4
         assert len(remove_identities(circuit, lookback=3)) == 2
-
-
-class TestLocalOptimizerPlumbing:
-    def test_lookback_window_reaches_the_sweep(self):
-        circuit = QuantumCircuit(4, separated_pair())
-        narrow = LocalOptimizer(enable_templates=False, lookback_window=1)
-        assert len(narrow.run(circuit)) == 4
-        default = LocalOptimizer(enable_templates=False)
-        assert default.lookback_window is None
-        assert len(default.run(circuit)) == 2
 
 
 class TestNearLinearSweep:

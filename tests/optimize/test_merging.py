@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CNOT, Gate, H, QuantumCircuit, S, Sdg, T, Tdg, X, Z
+from repro.core import CNOT, SWAP, Gate, H, QuantumCircuit, S, Sdg, T, Tdg, X, Z
 from repro.optimize import merge_phase_runs, merge_phases
 from repro.optimize.phase import (
     EXPONENT_GATES,
@@ -60,6 +60,21 @@ class TestMerging:
 
     def test_z_s_becomes_sdg_exactly(self):
         assert merge_phase_runs([Z(0), S(0)]) == [Sdg(0)]
+
+    def test_flush_keeps_first_pending_order(self):
+        # A two-qubit gate flushes its pending wires in the order they
+        # became pending, not in wire order.
+        assert merge_phase_runs([T(1), T(0), SWAP(0, 1)]) == [
+            T(1), T(0), SWAP(0, 1),
+        ]
+        assert merge_phase_runs([T(0), T(1), SWAP(0, 1)]) == [
+            T(0), T(1), SWAP(0, 1),
+        ]
+
+    def test_reflushed_wire_goes_to_the_back(self):
+        # Wire 0 flushes at the H and becomes pending again after wire 1.
+        gates = [T(0), T(1), H(0), T(0), SWAP(0, 1)]
+        assert merge_phase_runs(gates) == [T(0), H(0), T(1), T(0), SWAP(0, 1)]
 
     def test_t_s_survives_as_two_gates(self):
         merged = merge_phase_runs([T(0), S(0)])

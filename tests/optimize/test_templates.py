@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from repro.core import CNOT, H, QuantumCircuit, T, X, Z
+from repro.core import CNOT, H, QuantumCircuit, S, T, X, Z
 from repro.devices import CouplingMap
 from repro.optimize import apply_templates
 from repro.optimize.templates import (
+    WireTimeline,
     rule_cnot_unreversal,
     rule_cnot_x_propagation,
     rule_hadamard_conjugation,
@@ -83,7 +84,7 @@ class TestCnotXPropagation:
 
     def test_x_on_target_not_matched_by_this_rule(self):
         gates = [CNOT(0, 1), X(1), CNOT(0, 1)]
-        match = rule_cnot_x_propagation(gates, 0, None)
+        match = rule_cnot_x_propagation(WireTimeline(gates), 0, None)
         assert match is None
 
 
@@ -97,15 +98,31 @@ class TestEngine:
         assert out.count("CNOT") == 0
         assert np.allclose(out.unitary(), c.unitary())
 
+    def test_custom_rule_fires(self):
+        # A user rule: T T on one wire (adjacent on that wire) -> S.
+        def rule_t_pair(line, index, coupling_map=None):
+            first = line.gates[index]
+            if first.name != "T":
+                return None
+            partner = line.next_on(index, first.qubits)
+            if partner is None or line.gates[partner] != first:
+                return None
+            return [index, partner], [S(first.qubits[0])]
+
+        c = QuantumCircuit(2, [T(0), CNOT(1, 0), T(1), X(0), T(1)])
+        out = apply_templates(c, rules=(rule_t_pair,))
+        assert out.gates == (T(0), CNOT(1, 0), S(1), X(0))
+        assert np.allclose(out.unitary(), c.unitary())
+
     def test_no_match_returns_equal_circuit(self):
         c = QuantumCircuit(2, [T(0), CNOT(0, 1)])
         assert apply_templates(c).gates == c.gates
 
     def test_rules_return_none_out_of_pattern(self):
-        gates = [T(0)]
-        assert rule_hadamard_conjugation(gates, 0, None) is None
-        assert rule_cnot_unreversal(gates, 0, None) is None
-        assert rule_cnot_x_propagation(gates, 0, None) is None
+        line = WireTimeline([T(0)])
+        assert rule_hadamard_conjugation(line, 0, None) is None
+        assert rule_cnot_unreversal(line, 0, None) is None
+        assert rule_cnot_x_propagation(line, 0, None) is None
 
 
 class TestGateSetRestriction:
