@@ -18,7 +18,7 @@ custom cost function), the previous circuit is returned instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.circuit import QuantumCircuit
 from ..core.cost import CostFunction, TRANSMON_COST
@@ -95,13 +95,14 @@ class LocalOptimizer:
 
     def _round(
         self, circuit: QuantumCircuit, clean: FrozenSet[str]
-    ) -> Tuple[QuantumCircuit, FrozenSet[str]]:
+    ) -> Tuple[QuantumCircuit, FrozenSet[str], Dict[str, int]]:
         """One round of the passes over ``circuit``.
 
         ``clean`` names the passes ``circuit`` is already a fixpoint of;
-        the round returns its candidate with the same bookkeeping.  A
-        pass that changes the gates clears it; cancellation and merging
-        run to their own fixpoint and then mark themselves, while one
+        the round returns its candidate with the same bookkeeping, and
+        the whole-circuit sweeps cancellation and merging ran.  A pass
+        that changes the gates clears it; cancellation and merging run
+        to their own fixpoint and then mark themselves, while one
         template sweep is a fixpoint only if it rewrote nothing.
         """
         passes = [] if _CANCEL in clean else [_CANCEL]
@@ -111,12 +112,15 @@ class LocalOptimizer:
             # the cost comparison sees the full benefit.
             passes += [_TEMPLATES, _CANCEL]
         fixed = set(clean)
+        sweeps = {_CANCEL: 0, _MERGE: 0}
         gates: List[Gate] = list(circuit)
         for name in passes:
             if name == _CANCEL:
-                gates, changed = cancel_to_fixpoint(gates)
+                gates, changed, ran = cancel_to_fixpoint(gates)
+                sweeps[name] += ran
             elif name == _MERGE:
-                gates, changed = merge_to_fixpoint(gates, self.gate_set)
+                gates, changed, ran = merge_to_fixpoint(gates, self.gate_set)
+                sweeps[name] += ran
             else:
                 gates, changed = template_sweep(
                     gates, self.coupling_map, gate_set=self.gate_set
@@ -128,7 +132,7 @@ class LocalOptimizer:
         candidate = QuantumCircuit._trusted(
             circuit.num_qubits, gates, name=circuit.name
         )
-        return candidate, frozenset(fixed)
+        return candidate, frozenset(fixed), sweeps
 
     def run(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Optimize ``circuit`` until the cost function stops decreasing.
@@ -155,7 +159,7 @@ class LocalOptimizer:
         while rounds < self.max_rounds:
             rounds += 1
             with t.span("optimize.round", round=rounds) as span:
-                candidate, fixed = self._round(best, clean)
+                candidate, fixed, sweeps = self._round(best, clean)
                 cost = self.cost_function(candidate)
                 trace.append(cost)
                 span.set(
@@ -164,6 +168,8 @@ class LocalOptimizer:
                     gates_before=len(best),
                     gates_after=len(candidate),
                     accepted=cost < best_cost,
+                    cancel_sweeps=sweeps[_CANCEL],
+                    merge_sweeps=sweeps[_MERGE],
                 )
             if cost >= best_cost:
                 stopped = "rejected"

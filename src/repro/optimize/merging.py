@@ -32,17 +32,30 @@ def merge_phase_runs(gates: Sequence[Gate], gate_set=None) -> List[Gate]:
     sum to a multiple of pi/4 re-emit as library gates; other angles
     emit one RZ.
     """
+    return _sweep(gates, gate_set)[0]
+
+
+def _sweep(gates: Sequence[Gate], gate_set) -> Tuple[List[Gate], bool]:
+    """:func:`merge_phase_runs`; also reports whether the sweep neither
+    read nor emitted an RZ, which makes its output a fixpoint (see
+    :func:`merge_to_fixpoint`)."""
     kept: List[Gate] = []
     # qubit -> accumulated exponent (units of pi/4), in the order the
     # qubits became pending.
     pending: dict = {}
+    exact = True
 
     def flush(qubit: int) -> None:
-        exponent = pending.pop(qubit, 0.0)
-        kept.extend(emit_phase(exponent, qubit, gate_set))
+        nonlocal exact
+        emitted = emit_phase(pending.pop(qubit, 0.0), qubit, gate_set)
+        if emitted and emitted[0].name == "RZ":
+            exact = False
+        kept.extend(emitted)
 
     for gate in gates:
         if is_phase_gate(gate):
+            if gate.name == "RZ":
+                exact = False
             qubit = gate.qubits[0]
             pending[qubit] = (pending.get(qubit, 0.0) + gate_exponent(gate)) % 8.0
             continue
@@ -58,7 +71,7 @@ def merge_phase_runs(gates: Sequence[Gate], gate_set=None) -> List[Gate]:
         kept.append(gate)
     for qubit in sorted(pending):
         flush(qubit)
-    return kept
+    return kept, exact
 
 
 def _z_commutes_through(gate: Gate, qubit: int) -> bool:
@@ -75,19 +88,33 @@ def merge_phases(circuit: QuantumCircuit, gate_set=None) -> QuantumCircuit:
 
     ``gate_set`` restricts the emitted gates (see
     :func:`repro.optimize.phase.emit_phase`)."""
-    gates, _ = merge_to_fixpoint(list(circuit), gate_set)
+    gates = merge_to_fixpoint(list(circuit), gate_set)[0]
     return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
 
 
 def merge_to_fixpoint(
     gates: List[Gate], gate_set=None
-) -> Tuple[List[Gate], bool]:
+) -> Tuple[List[Gate], bool, int]:
     """:func:`merge_phases` on a gate list; also reports whether the list
-    changed (the fixpoint loop ran more than one sweep)."""
+    changed and how many sweeps ran.
+
+    A sweep that reads and emits only library phase gates is idempotent,
+    so it is the last one.  Its accumulated exponents are integers, held
+    exactly in floats, and each flushed run comes out as
+    ``EXPONENT_GATES[e]`` just before the same non-commuting gate (or at
+    the end, in qubit order), in pending order.  The next sweep reads
+    each run back as the same ``e``, with nothing else pending on its
+    qubit, and flushes it before the same gate in the same order: the
+    same list.  Only sweeps that read or emitted an RZ, whose float
+    round-trip is not provably stable (ion targets), repeat until a
+    sweep leaves the list unchanged.
+    """
     sweeps = 0
     while True:
-        merged = merge_phase_runs(gates, gate_set)
+        merged, exact = _sweep(gates, gate_set)
         sweeps += 1
+        if exact:
+            return merged, sweeps > 1 or merged != gates, sweeps
         if merged == gates:
-            return merged, sweeps > 1
+            return merged, sweeps > 1, sweeps
         gates = merged

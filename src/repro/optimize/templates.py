@@ -43,17 +43,22 @@ class WireTimeline:
     gates acting on it, so the next (or previous) gate on a set of wires
     is one binary search per wire instead of a scan of the cascade.
     Lookups honour :data:`LOOKAHEAD_WINDOW` in list positions: a gate
-    more than the window away is not a neighbour.
+    more than the window away is not a neighbour.  ``names`` holds the
+    gate names present, so a rule can reject a sweep's every position
+    before any lookup.
     """
 
-    __slots__ = ("gates", "_wires")
+    __slots__ = ("gates", "names", "_wires")
 
     def __init__(self, gates: Sequence[Gate]):
         self.gates = gates
+        names = set()
         wires: dict = defaultdict(lambda: array("l"))
         for position, gate in enumerate(gates):
+            names.add(gate.name)
             for qubit in gate.qubits:
                 wires[qubit].append(position)
+        self.names = names
         self._wires = wires
 
     def next_on(self, start: int, qubits: Iterable[int]) -> Optional[int]:
@@ -107,6 +112,8 @@ Rule = Callable[
 
 def rule_hadamard_conjugation(line, index, coupling_map=None):
     """``H P H -> conjugate(P)`` on one qubit, for P in {X, Z}."""
+    if "X" not in line.names and "Z" not in line.names:
+        return None
     gates = line.gates
     first = gates[index]
     if first.name != "H":
@@ -146,7 +153,11 @@ def rule_cnot_unreversal(line, index, coupling_map=None):
     cnot = gates[cnot_at]
     if cnot.name != "CNOT" or a not in cnot.qubits:
         return None
-    b = cnot.qubits[0] if cnot.qubits[1] == a else cnot.qubits[1]
+    control, target = cnot.qubits
+    # The reversed orientation must be legal before the other lookups.
+    if coupling_map is not None and not coupling_map.allows(target, control):
+        return None
+    b = control if target == a else target
     # H on the partner qubit immediately before the CNOT.
     before_b = line.prev_on(cnot_at, (b,))
     if before_b is None or gates[before_b] != H(b):
@@ -158,16 +169,14 @@ def rule_cnot_unreversal(line, index, coupling_map=None):
         return None
     if gates[after_a] != H(a) or gates[after_b] != H(b):
         return None
-    control, target = cnot.qubits
-    new_control, new_target = target, control  # reversed orientation
-    if coupling_map is not None and not coupling_map.allows(new_control, new_target):
-        return None
     consumed = [index, before_b, cnot_at, after_a, after_b]
-    return consumed, [CNOT(new_control, new_target)]
+    return consumed, [CNOT(target, control)]
 
 
 def rule_cnot_x_propagation(line, index, coupling_map=None):
     """``CNOT(a,b) X(a) CNOT(a,b) -> X(a) X(b)`` (and the Z dual on b)."""
+    if "X" not in line.names and "Z" not in line.names:
+        return None
     gates = line.gates
     first = gates[index]
     if first.name != "CNOT":

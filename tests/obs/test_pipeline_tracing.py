@@ -1,9 +1,10 @@
 """End-to-end tracing through compile_circuit and the fuzz harness."""
 
+from repro.benchlib import table7
 from repro.compiler import compile_circuit
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import CNOT, H, TOFFOLI
-from repro.devices import get_device
+from repro.devices import PROPOSED96, get_device
 from repro.fuzz import FuzzConfig, run_fuzz
 from repro.obs import optimizer_trajectory, stage_rows
 
@@ -53,6 +54,18 @@ def test_optimizer_rounds_carry_cost_deltas():
     assert optimize["attrs"]["rounds"] == len(rounds)
     assert all(r["accepted"] for r in rounds[:-1])
     assert rounds[-1]["accepted"] is (stopped == "fixpoint")
+
+
+def test_optimizer_rounds_count_their_sweeps():
+    """A Table 7 cascade's first round runs two cancellation sweeps (the
+    productive one proves its own fixpoint; the one after templates
+    removes nothing) and one merge sweep."""
+    result = compile_circuit(
+        table7.build_benchmark("T4_b"), PROPOSED96, verify=False, trace=True
+    )
+    first = optimizer_trajectory(result.trace)[0]
+    assert first["cancel_sweeps"] == 2
+    assert first["merge_sweeps"] == 1
 
 
 def test_stage_rows_cover_whole_compile():

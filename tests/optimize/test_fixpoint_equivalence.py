@@ -1,23 +1,31 @@
-"""The optimizer's neighbour index and early stop change no output.
+"""The optimizer's neighbour index, early stops and self-proving
+fixpoints change no output.
 
 This file keeps reference copies of the linear-scan template matcher,
-the phase-merge sweep that scanned every pending qubit, and the round
-loop that always ran a confirming round (stopping only on a rejected
-round or the round cap).  Hypothesis checks that
-:meth:`LocalOptimizer.run` returns exactly the reference's gates on
-random Clifford+T circuits: on ``ibmqx4``, on a one-way line and with
-the trapped-ion gate set, with templates on and off, and with template
-partners placed exactly at, and one past, the lookahead window.
+the cancellation sweep repeated until a sweep removes nothing, the
+phase-merge sweep that scanned every pending qubit (repeated until a
+sweep leaves the list unchanged), and the round loop that always ran a
+confirming round (stopping only on a rejected round or the round cap).
+Hypothesis checks that :meth:`LocalOptimizer.run` returns exactly the
+reference's gates on random Clifford+T circuits: on ``ibmqx4``, on a
+one-way line and with the trapped-ion gate set, with templates on and
+off, and with template partners placed exactly at, and one past, the
+lookahead window.  It also checks :func:`cancel_to_fixpoint` under
+lookback windows of 0-5 gates, where walks are cut and a removal can
+enable another in the next sweep, and :func:`merge_to_fixpoint` on
+circuits with and without RZ.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CNOT, H, QuantumCircuit, S, Sdg, T, Tdg, X, Z
+from repro.core import CNOT, TOFFOLI, H, QuantumCircuit, S, Sdg, T, Tdg, X, Z
 from repro.core.gates import RX, RXX, RZ
 from repro.devices import get_device, ion_device, linear_device
 from repro.optimize import LocalOptimizer, apply_templates, remove_identities
+from repro.optimize.cancellation import LOOKBACK_WINDOW, cancel_to_fixpoint
+from repro.optimize.merging import merge_to_fixpoint
 from repro.optimize.phase import emit_phase, gate_exponent, is_phase_gate
 from repro.optimize.templates import LOOKAHEAD_WINDOW, WireTimeline
 
@@ -187,17 +195,84 @@ def ref_merge_phases(circuit, gate_set):
         gates = merged
 
 
+# -- reference: cancellation swept until a sweep removes nothing ---------------
+
+def ref_cancel_inverse_pairs(gates, lookback):
+    window = LOOKBACK_WINDOW if lookback is None else max(0, int(lookback))
+    kept = []
+    by_qubit = {}
+    for gate in gates:
+        if gate.name == "I":
+            continue
+        support = gate.support
+        heads = {}
+        for q in support:
+            stack = by_qubit.setdefault(q, [])
+            h = len(stack) - 1
+            while h >= 0 and kept[stack[h]] is None:
+                stack.pop()
+                h -= 1
+            heads[q] = h
+        canceled = False
+        steps = 0
+        while steps < window:
+            position = -1
+            for q in support:
+                h = heads[q]
+                if h >= 0 and by_qubit[q][h] > position:
+                    position = by_qubit[q][h]
+            if position < 0:
+                break
+            previous = kept[position]
+            if gate.is_inverse_of(previous):
+                kept[position] = None
+                canceled = True
+                break
+            if not gate.commutes_with(previous):
+                break
+            for q in support:
+                h = heads[q]
+                if h >= 0 and by_qubit[q][h] == position:
+                    h -= 1
+                    while h >= 0 and kept[by_qubit[q][h]] is None:
+                        h -= 1
+                    heads[q] = h
+            steps += 1
+        if not canceled:
+            kept.append(gate)
+            for q in support:
+                by_qubit[q].append(len(kept) - 1)
+    return [gate for gate in kept if gate is not None]
+
+
+def ref_cancel_to_fixpoint(gates, lookback=None):
+    """The reduced gates and the number of sweeps, the last of which
+    removed nothing."""
+    sweeps = 0
+    while True:
+        reduced = ref_cancel_inverse_pairs(gates, lookback)
+        sweeps += 1
+        if len(reduced) == len(gates):
+            return reduced, sweeps
+        gates = reduced
+
+
+def ref_remove_identities(circuit):
+    gates, _ = ref_cancel_to_fixpoint(list(circuit))
+    return QuantumCircuit._trusted(circuit.num_qubits, gates, name=circuit.name)
+
+
 # -- reference: the round loop with a confirming round -------------------------
 
 def ref_run(circuit, cost_function, coupling_map, gate_set, enable_templates):
     best = circuit
     best_cost = cost_function(best)
     for _ in range(50):
-        candidate = remove_identities(best)
+        candidate = ref_remove_identities(best)
         candidate = ref_merge_phases(candidate, gate_set)
         if enable_templates:
             candidate = ref_apply_templates(candidate, coupling_map, gate_set)
-            candidate = remove_identities(candidate)
+            candidate = ref_remove_identities(candidate)
         cost = cost_function(candidate)
         if cost < best_cost:
             best, best_cost = candidate, cost
@@ -386,3 +461,71 @@ def test_window_edge_is_exercised():
         outside = QuantumCircuit(WIDTH, padded(shape, LOOKAHEAD_WINDOW + 1))
         assert len(apply_templates(inside)) < len(inside), shape
         assert apply_templates(outside).gates == outside.gates, shape
+
+
+# -- cancellation and merging on their own -------------------------------------
+
+LOOKBACKS = st.sampled_from([0, 1, 2, 3, 4, 5, None])
+
+
+@st.composite
+def commuting_pairs(draw):
+    """Gates that mostly commute with each other (phases on wire 0, X on
+    wires 1 and 2, CNOTs all controlled by wire 0), a few that do not,
+    and the inverses of some inserted further on, so inverse pairs nest
+    and interleave: small windows cut walks, and one removal often
+    enables another only on the next sweep."""
+    pool = st.one_of(
+        st.builds(lambda g: g(0), st.sampled_from((T, Tdg, S, Sdg, Z))),
+        st.sampled_from([X(1), X(2), CNOT(0, 1), CNOT(0, 2)]),
+        st.sampled_from([H(0), H(1), CNOT(1, 2), TOFFOLI(0, 1, 2)]),
+    )
+    gates = draw(st.lists(pool, min_size=4, max_size=24))
+    for i in reversed(range(len(gates))):
+        if draw(st.booleans()):
+            later = draw(st.integers(i + 1, len(gates)))
+            gates.insert(later, gates[i].inverse())
+    return gates
+
+
+@settings(max_examples=1000, deadline=None)
+@given(gates=commuting_pairs(), lookback=LOOKBACKS)
+def test_cancellation_matches_sweeping_until_unchanged(gates, lookback):
+    expected, ref_sweeps = ref_cancel_to_fixpoint(gates, lookback)
+    reduced, changed, sweeps = cancel_to_fixpoint(list(gates), lookback)
+    assert reduced == expected
+    assert changed is (len(expected) != len(gates))
+    assert sweeps <= ref_sweeps
+    circuit = QuantumCircuit(WIDTH, gates, name="random")
+    assert list(remove_identities(circuit, lookback)) == expected
+
+
+def test_window_cut_walk_is_swept_again():
+    """``CNOT(0,1)`` walks over both T gates and is cut; removing the
+    upper T frees its window, so the next sweep cancels the CNOTs."""
+    gates = [CNOT(0, 1), T(0), T(0), CNOT(0, 1), Tdg(0)]
+    reduced, changed, sweeps = cancel_to_fixpoint(gates, lookback=2)
+    assert reduced == [T(0)] and changed
+    assert sweeps == 2
+    assert ref_cancel_to_fixpoint(gates, 2) == (reduced, 3)
+
+
+def test_walk_cut_at_the_removed_gate_is_swept_again():
+    """``CNOT(0,1)`` steps over ``X(1)`` and is cut right at ``T(0)``;
+    removing that T frees one step, enough to reach the first CNOT."""
+    gates = [CNOT(0, 1), T(0), X(1), CNOT(0, 1), Tdg(0)]
+    reduced, _, sweeps = cancel_to_fixpoint(gates, lookback=2)
+    assert reduced == [X(1)] and sweeps == 2
+
+
+@SETTINGS
+@given(gates=st.one_of(clifford_t(), clifford_t(rotations=True)),
+       target=st.sampled_from([None, "ion"]))
+def test_merging_matches_sweeping_until_unchanged(gates, target):
+    gate_set = TARGETS[target].gate_set if target else None
+    expected = list(ref_merge_phases(QuantumCircuit(WIDTH, gates), gate_set))
+    merged, changed, sweeps = merge_to_fixpoint(list(gates), gate_set)
+    assert merged == expected
+    assert changed is (expected != gates)
+    if target is None and not any(g.name == "RZ" for g in gates):
+        assert sweeps == 1
